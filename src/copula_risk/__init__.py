@@ -23,7 +23,6 @@ from .errors import (
     LowTailCount,
     NoBracket,
     NoConvergence,
-    SingularParameters,
 )
 from .extremes import (
     BivariatePortfolio,
@@ -79,7 +78,6 @@ __all__ = [
     "ParetoMarginal",
     "RiskReport",
     "SampleBatch",
-    "SingularParameters",
     "SolverSettings",
     "aggregate_cdf",
     "aggregate_cte",

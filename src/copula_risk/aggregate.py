@@ -1,20 +1,33 @@
 """Risk measures of the sum of two FGM-dependent exponential losses.
 
-The convolution of the joint density has a four-bracket closed form whose
-denominators vanish on the hyperplanes l1 = l2, l1 = 2*l2 and l2 = 2*l1.
-Away from those the sum distribution is a signed exponential survival
-mixture like the extremes; near them the module falls back to direct
-numerical convolution so that equal-rate portfolios remain serviceable.
+The FGM joint density l1*l2*s1*s2*(1 + theta*(2*s1 - 1)*(2*s2 - 1)), with
+si = exp(-li*xi), splits into four products of independent exponential
+densities, so X1 + X2 is a signed mixture of four hypoexponential pairs:
+weights (1 + theta, -theta, -theta, theta) on the rate pairs (l1, l2),
+(2*l1, l2), (l1, 2*l2) and (2*l1, 2*l2).
+
+Each pair (a, b), with b the smaller rate and d = a - b, is written through
+the divided difference of the exponential, phi(z) = -expm1(-z)/z with
+phi(0) = 1 (McCurdy, Ng and Parlett, Math. Comp. 43, 1984):
+
+    S(x)                  = exp(-b*x) * (1 + b*x*phi(d*x))
+    f(x)                  = a * exp(-b*x) * b*x*phi(d*x)
+    int_q^inf x f(x) dx   = exp(-b*q) * (q*(1 + g) + 1/a + 1/b + g/a),
+                            with g = b*q*phi(d*q)
+
+These are smooth through d = 0, where the pair is Erlang(2, b), so equal
+and 2:1 rates take the same path as every other rate pair. VaR and MoT are
+bracketed root solves of the CDF; CTE is the signed sum of the pairs' tail
+integrals divided by 1 - alpha.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import exp, expm1
 
-from ._mixtures import ExpTermMixture
 from .copula import FgmCopula
-from .errors import DomainError, SingularParameters
+from .errors import DomainError
 from .marginals import (
     Alpha,
     AlphaLike,
@@ -23,7 +36,9 @@ from .marginals import (
     RiskReport,
     level_of,
 )
-from .numerics import (
+
+# perfbench/tracing.py rebinds these four names here, so the unused two stay
+from .numerics import (  # noqa: F401
     DEFAULT_SETTINGS,
     SolverSettings,
     _quad_finite,
@@ -32,12 +47,9 @@ from .numerics import (
     solve_increasing,
 )
 
-# relative scale below which a closed-form denominator counts as singular
+# relative distance to the rate ratios 1, 2 and 1/2 within which is_singular
+# names a portfolio; perfbench/run.py labels its trace spans with it
 _SINGULAR_RTOL = 1e-6
-
-# the numerical convolution is an inner integrand of further quadrature and
-# root solves, so it is resolved two orders tighter than the outer tolerance
-_INNER_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,7 +68,11 @@ class AggregateExpPortfolio:
 
 
 def is_singular(p: AggregateExpPortfolio) -> bool:
-    """True when the closed-form denominators are too small to trust."""
+    """True when a hypoexponential pair of the sum is (nearly) Erlang.
+
+    That is, the rates sit within _SINGULAR_RTOL of the ratio 1, or of 2 or
+    1/2 under dependence; the closed form covers these rates too.
+    """
     l1, l2 = p.m1.rate, p.m2.rate
     tol = _SINGULAR_RTOL * max(l1, l2)
     if abs(l2 - l1) < tol:
@@ -68,100 +84,110 @@ def is_singular(p: AggregateExpPortfolio) -> bool:
     return False
 
 
-def _sum_mixture(p: AggregateExpPortfolio) -> ExpTermMixture:
-    """Survival-term mixture of X1 + X2 from the convolution closed form."""
-    if is_singular(p):
-        raise SingularParameters(
-            f"closed form is singular for rates ({p.m1.rate}, {p.m2.rate}) "
-            f"with theta={p.copula.theta}"
+def _phi(z: float) -> float:
+    """-expm1(-z)/z, the divided difference of exp(-t) over [0, z]; 1 at 0."""
+    return -expm1(-z) / z if z else 1.0
+
+
+class _SumLaw:
+    """Distribution of X1 + X2 as four weighted hypoexponential pairs."""
+
+    __slots__ = ("_pairs", "_k")
+
+    def __init__(self, p: AggregateExpPortfolio) -> None:
+        l1, l2, th = p.m1.rate, p.m2.rate, p.copula.theta
+        if l1 > l2:
+            # the pairs and weights are symmetric under swapping the rates
+            l1, l2 = l2, l1
+        # (weight, a, b) with b = min(a, b) the rate of the slower term
+        self._pairs = tuple(
+            (w, max(r, s), min(r, s))
+            for w, r, s in (
+                (1.0 + th, l1, l2),
+                (-th, 2.0 * l1, l2),
+                (-th, l1, 2.0 * l2),
+                (th, 2.0 * l1, 2.0 * l2),
+            )
         )
-    l1, l2 = p.m1.rate, p.m2.rate
-    th = p.copula.theta
-    a = l1 * l2 / (l1 - l2)
-    terms = [
-        (-a * (1.0 + th) / l1, l1),
-        (a * (1.0 + th) / l2, l2),
-    ]
-    if th != 0.0:
-        b = 2.0 * l1 * l2 / (l1 - 2.0 * l2)
-        c = 2.0 * l1 * l2 / (2.0 * l1 - l2)
-        d = 2.0 * a
-        terms[0] = (terms[0][0] + th * b / l1, l1)
-        terms[1] = (terms[1][0] - th * c / l2, l2)
-        terms.append((th * (c - d) / (2.0 * l1), 2.0 * l1))
-        terms.append((th * (d - b) / (2.0 * l2), 2.0 * l2))
-    return ExpTermMixture(tuple(terms))
+        b1 = min(2.0 * l1, l2)
+        # cdf constants: rates, weights, the rate gaps of the pairs
+        # (l1, l2), (2*l1, l2) and (l1, 2*l2), and the slower rate of the
+        # second pair with whether it is 2*l1
+        self._k = (
+            l1, l2, 1.0 + th, th,
+            l2 - l1, abs(2.0 * l1 - l2), 2.0 * l2 - l1,
+            b1, 2.0 * l1 <= l2,
+        )
 
+    def cdf(self, x: float) -> float:
+        """1 - S(x), written out for the root solver's inner loop.
 
-def joint_pdf(p: AggregateExpPortfolio, x1: float, x2: float) -> float:
-    """Joint density of (X1, X2): copula density times the marginal densities.
+        With l1 <= l2 the slower rates of the four pairs are l1, b1, l1 and
+        2*l1, so two exponentials and their squares cover every decay.
+        """
+        if x <= 0.0:
+            return 0.0
+        l1, l2, w0, th, d0, d1, d2, b1, b1_is_2l1 = self._k
+        e1 = exp(-l1 * x)
+        e11 = e1 * e1
+        eb1 = e11 if b1_is_2l1 else exp(-l2 * x)
+        z = d0 * x
+        h0 = -expm1(-z) / z if z else 1.0
+        z += z  # the gap of the pair (2*l1, 2*l2) is 2*d0
+        h3 = -expm1(-z) / z if z else 1.0
+        z = d1 * x
+        h1 = -expm1(-z) / z if z else 1.0
+        z = d2 * x
+        h2 = -expm1(-z) / z if z else 1.0
+        lx = l1 * x
+        s = w0 * e1 * (1.0 + lx * h0) + th * (
+            e11 * (1.0 + 2.0 * lx * h3)
+            - eb1 * (1.0 + b1 * x * h1)
+            - e1 * (1.0 + lx * h2)
+        )
+        c = 1.0 - s
+        return c if 0.0 <= c <= 1.0 else (0.0 if c < 0.0 else 1.0)
 
-    Scalar-math hot path: this sits inside nested adaptive quadrature on
-    the singular fallback, so it avoids the array-polymorphic wrappers.
-    """
-    if x1 < 0.0 or x2 < 0.0:
-        return 0.0
-    l1, l2 = p.m1.rate, p.m2.rate
-    s1 = math.exp(-l1 * x1)
-    s2 = math.exp(-l2 * x2)
-    # 1 - 2u = 2*exp(-l*x) - 1 for u = 1 - exp(-l*x)
-    dens = 1.0 + p.copula.theta * (2.0 * s1 - 1.0) * (2.0 * s2 - 1.0)
-    return l1 * s1 * l2 * s2 * dens
+    def pdf(self, x: float) -> float:
+        if x <= 0.0:
+            return 0.0
+        val = sum(
+            w * a * exp(-b * x) * (b * x) * _phi((a - b) * x)
+            for w, a, b in self._pairs
+        )
+        return max(val, 0.0)
 
-
-def _pdf_numeric(p: AggregateExpPortfolio, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    return _quad_finite(
-        lambda t: joint_pdf(p, t, x - t), 0.0, x, _INNER_REL_TOL
-    )
-
-
-def _cdf_numeric(p: AggregateExpPortfolio, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    l1, l2 = p.m1.rate, p.m2.rate
-    th = p.copula.theta
-
-    def integrand(t: float) -> float:
-        # f1(t) * P(X2 <= x - t | X1 = t) via the conditional copula CDF
-        s1 = math.exp(-l1 * t)
-        v = -math.expm1(-l2 * (x - t))
-        cond = v + th * v * (1.0 - v) * (2.0 * s1 - 1.0)
-        return l1 * s1 * cond
-
-    val = _quad_finite(integrand, 0.0, x, _INNER_REL_TOL)
-    return min(max(val, 0.0), 1.0)
+    def tail_expectation(self, q: float) -> float:
+        """int_q^inf x f(x) dx, pair by pair in closed form."""
+        total = 0.0
+        for w, a, b in self._pairs:
+            g = b * q * _phi((a - b) * q)
+            total += w * exp(-b * q) * (q * (1.0 + g) + 1.0 / a + 1.0 / b + g / a)
+        return total
 
 
 def aggregate_pdf(p: AggregateExpPortfolio, x: float) -> float:
-    """Density of X1 + X2 at x >= 0.
-
-    Closed form off the singular hyperplanes; numerical convolution of the
-    joint density otherwise.
-    """
+    """Density of X1 + X2 at x >= 0."""
     if x < 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
-    if is_singular(p):
-        return _pdf_numeric(p, x)
-    return _sum_mixture(p).pdf(x)
+    return _SumLaw(p).pdf(x)
 
 
 def aggregate_cdf(p: AggregateExpPortfolio, x: float) -> float:
     """Distribution function of X1 + X2 at x >= 0."""
     if x < 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
-    if is_singular(p):
-        return _cdf_numeric(p, x)
-    return _sum_mixture(p).cdf(x)
+    return _SumLaw(p).cdf(x)
 
 
-def _solve_level(
-    p: AggregateExpPortfolio, level: float, settings: SolverSettings
-) -> float:
-    f = (lambda x: _cdf_numeric(p, x)) if is_singular(p) else _sum_mixture(p).cdf
-    lo, hi = expand_bracket(f, level, 0.0, settings)
-    return solve_increasing(f, level, lo, hi, settings)
+def _solve_level(law: _SumLaw, level: float, settings: SolverSettings) -> float:
+    lo, hi = expand_bracket(law.cdf, level, 0.0, settings)
+    return solve_increasing(law.cdf, level, lo, hi, settings)
+
+
+def _cte_beyond(law: _SumLaw, q: float, a: float) -> float:
+    """CTE at level a given its VaR q."""
+    return law.tail_expectation(q) / (1.0 - a)
 
 
 def aggregate_var(
@@ -170,7 +196,7 @@ def aggregate_var(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Value at risk of the aggregate, by bracketed root solve."""
-    return _solve_level(p, level_of(alpha), settings)
+    return _solve_level(_SumLaw(p), level_of(alpha), settings)
 
 
 def aggregate_mot(
@@ -179,7 +205,7 @@ def aggregate_mot(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Median of the tail beyond VaR: solves F(M) = (1 + alpha) / 2."""
-    return _solve_level(p, 0.5 * (1.0 + level_of(alpha)), settings)
+    return _solve_level(_SumLaw(p), 0.5 * (1.0 + level_of(alpha)), settings)
 
 
 def aggregate_cte(
@@ -189,15 +215,12 @@ def aggregate_cte(
 ) -> float:
     """Conditional tail expectation of the aggregate.
 
-    Signed sum of closed-form exponential tail integrals divided by
-    1 - alpha; semi-infinite quadrature of x * f(x) on the singular
-    fallback path.
+    Signed sum of closed-form tail integrals beyond VaR divided by
+    1 - alpha.
     """
     a = level_of(alpha)
-    q = _solve_level(p, a, settings)
-    if is_singular(p):
-        return quad_tail(lambda x: x * _pdf_numeric(p, x), q, settings) / (1.0 - a)
-    return _sum_mixture(p).tail_expectation(q) / (1.0 - a)
+    law = _SumLaw(p)
+    return _cte_beyond(law, _solve_level(law, a, settings), a)
 
 
 def aggregate_report(
@@ -205,14 +228,18 @@ def aggregate_report(
     alpha: AlphaLike,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> RiskReport:
-    """All three measures of the aggregate at one confidence level."""
-    a = Alpha(level_of(alpha))
-    singular = is_singular(p)
+    """All three measures of the aggregate at one confidence level.
+
+    VaR is solved once and reused for CTE.
+    """
+    a = level_of(alpha)
+    law = _SumLaw(p)
+    q = _solve_level(law, a, settings)
     return RiskReport(
-        alpha=a,
-        var=aggregate_var(p, a, settings),
-        cte=aggregate_cte(p, a, settings),
-        mot=aggregate_mot(p, a, settings),
-        method=Method.QUADRATURE if singular else Method.ROOT_SOLVE,
-        tolerance=settings.quad_rel_tol if singular else settings.abs_tol,
+        alpha=Alpha(a),
+        var=q,
+        cte=_cte_beyond(law, q, a),
+        mot=_solve_level(law, 0.5 * (1.0 + a), settings),
+        method=Method.ROOT_SOLVE,
+        tolerance=settings.abs_tol,
     )

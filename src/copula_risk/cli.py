@@ -22,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregate import is_singular
 from .errors import CopulaRiskError, DomainError, LowTailCount
 from .marginals import level_of
 from .mc_oracle import (
@@ -146,8 +145,6 @@ def cmd_measure(args) -> int:
     value = compute_measure(portfolio, args.target, args.measure, args.alpha, settings)
     if args.target in ("x1", "x2"):
         method, tol = "closed_form", 0.0
-    elif args.target == "sum" and is_singular(portfolio):
-        method, tol = "quadrature", settings.quad_rel_tol
     else:
         method, tol = "root_solve", settings.abs_tol
     record = {

@@ -25,9 +25,5 @@ class DivergentTail(CopulaRiskError):
     """The requested tail expectation does not exist (the integral diverges)."""
 
 
-class SingularParameters(CopulaRiskError):
-    """Closed-form coefficients are singular for this parameter combination."""
-
-
 class LowTailCount(CopulaRiskError):
     """Too few tail exceedances for a reliable empirical estimate."""

@@ -75,8 +75,6 @@ class Method(str, Enum):
 
     CLOSED_FORM = "closed_form"
     ROOT_SOLVE = "root_solve"
-    QUADRATURE = "quadrature"
-    MONTE_CARLO = "monte_carlo"
 
 
 @dataclass(frozen=True)

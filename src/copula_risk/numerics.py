@@ -138,8 +138,9 @@ def pareto_tail_integral(x0: float, gamma: float, q: float) -> float:
     """Closed form of the Pareto tail expectation integral.
 
     Returns int_q^inf x * gamma * x0^gamma * x^(-gamma-1) dx
-          = gamma * x0^gamma * q^(1-gamma) / (gamma - 1),
-    which requires gamma > 1 to converge.
+          = gamma / (gamma - 1) * q * (x0/q)^gamma,
+    which requires gamma > 1 to converge. Raising the ratio x0/q <= 1 keeps
+    large exponents from overflowing where x0^gamma * q^(1-gamma) would.
     """
     if x0 <= 0:
         raise DomainError(f"x0 must be positive, got {x0}")
@@ -147,7 +148,7 @@ def pareto_tail_integral(x0: float, gamma: float, q: float) -> float:
         raise DomainError(f"tail integral diverges for gamma <= 1, got {gamma}")
     if q < x0:
         raise DomainError(f"q must be >= x0={x0}, got {q}")
-    return gamma * x0**gamma * q ** (1.0 - gamma) / (gamma - 1.0)
+    return gamma / (gamma - 1.0) * q * (x0 / q) ** gamma
 
 
 def quad_tail(

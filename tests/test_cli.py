@@ -51,6 +51,19 @@ class TestMeasure:
         assert float(row["value"]) == pytest.approx(2.71, abs=1e-2)
         assert row["method"] == "closed_form"
 
+    def test_equal_rate_sum_takes_the_closed_form(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "measure", "--dist", "exp", "--l1", "0.5", "--l2", "0.5",
+            "--theta", "0", "--target", "sum", "--measure", "var",
+            "--alpha", "0.9",
+        )
+        assert rc == 0
+        row = parse_csv(out)[0]
+        assert row["method"] == "root_solve"
+        assert float(row["tolerance"]) == 1e-12
+        # frozen Erlang(2, 0.5) quantile at 0.9
+        assert float(row["value"]) == pytest.approx(7.77944033973486, abs=1e-12)
+
     def test_pareto_sum_is_a_parameter_error(self, capsys):
         rc, out, err = run_cli(
             capsys, "measure", "--dist", "pareto", "--target", "sum",

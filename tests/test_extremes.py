@@ -221,6 +221,28 @@ class TestExtremeCte:
         # VaR stays finite even when the tail expectation does not exist
         assert extreme_var(thin, "min", 0.9) > 1.0
 
+    def test_steep_tails_at_small_scale(self):
+        # exponents 45 and 40 at x0 = 0.01 give the (2, 2) survival term
+        # x0^170 * x^-170, whose two factors leave the float range apart.
+        # The solver's x tolerance of 1e-12 is 1e-10 relative at this scale,
+        # and tail exponents near 85 scale that by about 85 in the CTE.
+        x0, a = 0.01, 0.9
+        p = BivariatePortfolio(
+            ParetoMarginal(x0, 45.0), ParetoMarginal(x0, 40.0), FgmCopula(0.0)
+        )
+        # the independent minimum is Pareto(x0, 85)
+        q = x0 * (1 - a) ** (-1 / 85)
+        assert extreme_cte(p, "min", a) == pytest.approx(q * 85 / 84, rel=1e-8)
+        # the independent maximum has S = 1 - F1 * F2
+        s_max = lambda x: 1 - (1 - (x0 / x) ** 45) * (1 - (x0 / x) ** 40)
+        q = brentq(lambda x: s_max(x) - (1 - a), x0, 2 * x0, xtol=1e-16, rtol=1e-15)
+        tail, _ = quad(s_max, q, math.inf, epsabs=0, epsrel=1e-13, limit=200)
+        assert extreme_cte(p, "max", a) == pytest.approx(q + tail / (1 - a), rel=1e-8)
+        dep = BivariatePortfolio(p.m1, p.m2, FgmCopula(0.5))
+        for which in ("min", "max"):
+            r = extreme_report(dep, which, a)
+            assert math.isfinite(r.cte) and r.var < r.cte
+
     def test_min_cte_exists_when_exponent_sum_exceeds_one(self):
         p = BivariatePortfolio(
             ParetoMarginal(1.0, 0.7), ParetoMarginal(1.0, 0.6), FgmCopula(0.4)

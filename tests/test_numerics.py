@@ -153,6 +153,20 @@ class TestParetoTailIntegral:
             0.7901234567901235, rel=1e-12
         )
 
+    @pytest.mark.parametrize("gamma", [160.0, 170.0])
+    def test_steep_tail_at_small_scale(self, gamma):
+        # x0^gamma and q^(1 - gamma) leave the float range separately here
+        mpmath = pytest.importorskip("mpmath")
+        x0, q = 0.01, 0.0105
+        with mpmath.workdps(30):
+            ref = (
+                gamma * mpmath.mpf(x0) ** gamma * mpmath.mpf(q) ** (1 - gamma)
+                / (gamma - 1)
+            )
+        assert pareto_tail_integral(x0, gamma, q) == pytest.approx(
+            float(ref), rel=1e-13
+        )
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             pareto_tail_integral(1.0, 1.0, 2.0)
