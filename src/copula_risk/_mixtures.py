@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import DivergentTail
 from .numerics import exp_tail_integral, pareto_tail_integral
 
 Terms = tuple[tuple[float, float], ...]
@@ -23,6 +24,7 @@ class ExpTermMixture:
     """S(x) = sum of w * exp(-r * x) over (w, r) terms, supported on x >= 0."""
 
     terms: Terms
+    lo = 0.0
 
     def survival(self, x: float) -> float:
         if x <= 0.0:
@@ -52,6 +54,10 @@ class ParetoTermMixture:
     x0: float
     terms: Terms
 
+    @property
+    def lo(self) -> float:
+        return self.x0
+
     def survival(self, x: float) -> float:
         if x <= self.x0:
             return 1.0
@@ -65,13 +71,21 @@ class ParetoTermMixture:
     def pdf(self, x: float) -> float:
         if x < self.x0:
             return 0.0
-        val = sum(
-            w * g * self.x0**g * x ** (-g - 1.0) for w, g in self.terms
-        )
+        # g/x * (x0/x)^g: x0^g and x^(-g-1) apart leave the float range
+        val = sum(w * g / x * (self.x0 / x) ** g for w, g in self.terms)
         return max(val, 0.0)
 
     def tail_expectation(self, q: float) -> float:
-        """int_q^inf x f(x) dx; every exponent must exceed 1 to converge."""
+        """int_q^inf x f(x) dx; every exponent must exceed 1 to converge.
+
+        Raises DivergentTail otherwise: for the minimum of two Pareto losses
+        that is g1 + g2 <= 1, for the maximum min(g1, g2) <= 1.
+        """
+        g_min = min(g for _, g in self.terms)
+        if g_min <= 1.0:
+            raise DivergentTail(
+                f"tail expectation requires every exponent > 1, got {g_min}"
+            )
         return sum(
             w * pareto_tail_integral(self.x0, g, q) for w, g in self.terms
         )

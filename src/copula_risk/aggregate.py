@@ -16,9 +16,12 @@ phi(0) = 1 (McCurdy, Ng and Parlett, Math. Comp. 43, 1984):
                             with g = b*q*phi(d*q)
 
 These are smooth through d = 0, where the pair is Erlang(2, b), so equal
-and 2:1 rates take the same path as every other rate pair. VaR and MoT are
-bracketed root solves of the CDF; CTE is the signed sum of the pairs' tail
-integrals divided by 1 - alpha.
+and 2:1 rates take the same path as every other rate pair. `_SumLaw` is a
+composite law with `lo = 0`, a `cdf` and a `tail_expectation`, so the sum's
+measures take the same solve-and-report path as the min and max
+(`extremes.solve_level`, `cte_beyond` and `law_report`): VaR and MoT are
+bracketed root solves of the CDF, CTE is the pairs' signed tail integrals
+beyond VaR divided by 1 - alpha, and a report solves VaR once.
 """
 
 from __future__ import annotations
@@ -28,19 +31,14 @@ from math import exp, expm1
 
 from .copula import FgmCopula
 from .errors import DomainError
-from .marginals import (
-    Alpha,
-    AlphaLike,
-    ExponentialMarginal,
-    Method,
-    RiskReport,
-    level_of,
-)
+from .extremes import cte_beyond, law_report, solve_level
+from .marginals import AlphaLike, ExponentialMarginal, RiskReport, level_of
+from .numerics import DEFAULT_SETTINGS, SolverSettings
 
-# perfbench/tracing.py rebinds these four names here, so the unused two stay
+# Sums solve through extremes.solve_level. The benchmark's layer tracing
+# (perfbench/tracing.py) still rebinds these four names on this module, so
+# they stay importable here until the harness stops doing so.
 from .numerics import (  # noqa: F401
-    DEFAULT_SETTINGS,
-    SolverSettings,
     _quad_finite,
     expand_bracket,
     quad_tail,
@@ -93,6 +91,7 @@ class _SumLaw:
     """Distribution of X1 + X2 as four weighted hypoexponential pairs."""
 
     __slots__ = ("_pairs", "_k")
+    lo = 0.0
 
     def __init__(self, p: AggregateExpPortfolio) -> None:
         l1, l2, th = p.m1.rate, p.m2.rate, p.copula.theta
@@ -180,23 +179,13 @@ def aggregate_cdf(p: AggregateExpPortfolio, x: float) -> float:
     return _SumLaw(p).cdf(x)
 
 
-def _solve_level(law: _SumLaw, level: float, settings: SolverSettings) -> float:
-    lo, hi = expand_bracket(law.cdf, level, 0.0, settings)
-    return solve_increasing(law.cdf, level, lo, hi, settings)
-
-
-def _cte_beyond(law: _SumLaw, q: float, a: float) -> float:
-    """CTE at level a given its VaR q."""
-    return law.tail_expectation(q) / (1.0 - a)
-
-
 def aggregate_var(
     p: AggregateExpPortfolio,
     alpha: AlphaLike,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Value at risk of the aggregate, by bracketed root solve."""
-    return _solve_level(_SumLaw(p), level_of(alpha), settings)
+    return solve_level(_SumLaw(p), level_of(alpha), settings)
 
 
 def aggregate_mot(
@@ -205,7 +194,7 @@ def aggregate_mot(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Median of the tail beyond VaR: solves F(M) = (1 + alpha) / 2."""
-    return _solve_level(_SumLaw(p), 0.5 * (1.0 + level_of(alpha)), settings)
+    return solve_level(_SumLaw(p), 0.5 * (1.0 + level_of(alpha)), settings)
 
 
 def aggregate_cte(
@@ -220,7 +209,7 @@ def aggregate_cte(
     """
     a = level_of(alpha)
     law = _SumLaw(p)
-    return _cte_beyond(law, _solve_level(law, a, settings), a)
+    return cte_beyond(law, solve_level(law, a, settings), a)
 
 
 def aggregate_report(
@@ -228,18 +217,5 @@ def aggregate_report(
     alpha: AlphaLike,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> RiskReport:
-    """All three measures of the aggregate at one confidence level.
-
-    VaR is solved once and reused for CTE.
-    """
-    a = level_of(alpha)
-    law = _SumLaw(p)
-    q = _solve_level(law, a, settings)
-    return RiskReport(
-        alpha=Alpha(a),
-        var=q,
-        cte=_cte_beyond(law, q, a),
-        mot=_solve_level(law, 0.5 * (1.0 + a), settings),
-        method=Method.ROOT_SOLVE,
-        tolerance=settings.abs_tol,
-    )
+    """All three measures of the aggregate at one confidence level."""
+    return law_report(_SumLaw(p), level_of(alpha), settings)

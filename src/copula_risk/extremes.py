@@ -1,10 +1,15 @@
-"""Risk measures of the minimum and maximum of two dependent losses.
+"""Risk measures of the minimum and maximum of two dependent losses, and the
+solve-and-report path shared by every composite law.
 
-The survival function of either extreme under FGM dependence is a signed
-sum of primitive survival terms (exponential rates or Pareto exponents
-built from the two marginal parameters), so VaR and MoT reduce to one
-bracketed root solve on the composite CDF and CTE to a signed sum of
-closed-form tail integrals.
+Under FGM dependence the survival function of either extreme is a signed
+sum of exponential or Pareto survival terms built from the two marginal
+parameters (`ExpTermMixture`, `ParetoTermMixture`). These and the sum's law
+(`aggregate._SumLaw`) share one interface: `lo`, the left end of the
+support, `cdf`, and the closed-form `tail_expectation` int_q^inf x f(x) dx,
+which raises `DivergentTail` where the integral diverges. `solve_level`
+brackets up from `lo` and bisects the CDF (VaR at level alpha, MoT at
+(1 + alpha) / 2), `cte_beyond` divides the tail integral beyond VaR by
+1 - alpha, and `law_report` solves VaR once and reuses it for CTE.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Union
 
 from ._mixtures import ExpTermMixture, ParetoTermMixture, fgm_extreme_weights
 from .copula import FgmCopula
-from .errors import DivergentTail, DomainError
+from .errors import DomainError
 from .marginals import (
     Alpha,
     AlphaLike,
@@ -60,10 +65,6 @@ class BivariatePortfolio:
                 f"x0={self.m1.x0} and x0={self.m2.x0}"
             )
 
-    @property
-    def support_left(self) -> float:
-        return self.m1.x0 if isinstance(self.m1, ParetoMarginal) else 0.0
-
 
 def _selector(s: Union[ExtremeSelector, str]) -> ExtremeSelector:
     try:
@@ -99,6 +100,33 @@ def extreme_pdf(p: BivariatePortfolio, s, x: float) -> float:
     return _mixture(p, _selector(s)).pdf(x)
 
 
+# expand_bracket and solve_increasing are looked up on this module at call
+# time, so rebinding them here (as perfbench's layer tracing does) reaches
+# the solves of the sum as well
+def solve_level(law, level: float, settings: SolverSettings) -> float:
+    """Smallest x with law.cdf(x) >= level: bracket up from law.lo, bisect."""
+    lo, hi = expand_bracket(law.cdf, level, law.lo, settings)
+    return solve_increasing(law.cdf, level, lo, hi, settings)
+
+
+def cte_beyond(law, q: float, a: float) -> float:
+    """CTE at level a given its VaR q."""
+    return law.tail_expectation(q) / (1.0 - a)
+
+
+def law_report(law, a: float, settings: SolverSettings) -> RiskReport:
+    """VaR, CTE and MoT of a composite law; VaR is solved once."""
+    q = solve_level(law, a, settings)
+    return RiskReport(
+        alpha=Alpha(a),
+        var=q,
+        cte=cte_beyond(law, q, a),
+        mot=solve_level(law, 0.5 * (1.0 + a), settings),
+        method=Method.ROOT_SOLVE,
+        tolerance=settings.abs_tol,
+    )
+
+
 def extreme_var(
     p: BivariatePortfolio,
     s,
@@ -106,10 +134,7 @@ def extreme_var(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Value at risk of the selected extreme, by bracketed root solve."""
-    a = level_of(alpha)
-    mix = _mixture(p, _selector(s))
-    lo, hi = expand_bracket(mix.cdf, a, p.support_left, settings)
-    return solve_increasing(mix.cdf, a, lo, hi, settings)
+    return solve_level(_mixture(p, _selector(s)), level_of(alpha), settings)
 
 
 def extreme_mot(
@@ -119,26 +144,8 @@ def extreme_mot(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Median of the tail beyond VaR: solves F(M) = (1 + alpha) / 2."""
-    a = level_of(alpha)
-    mix = _mixture(p, _selector(s))
-    level = 0.5 * (1.0 + a)
-    lo, hi = expand_bracket(mix.cdf, level, p.support_left, settings)
-    return solve_increasing(mix.cdf, level, lo, hi, settings)
-
-
-def _check_tail_exists(p: BivariatePortfolio, s: ExtremeSelector) -> None:
-    if not isinstance(p.m1, ParetoMarginal):
-        return
-    g1, g2 = p.m1.gamma, p.m2.gamma
-    if s is ExtremeSelector.MIN and g1 + g2 <= 1.0:
-        raise DivergentTail(
-            f"CTE of the minimum requires gamma1 + gamma2 > 1, got {g1 + g2}"
-        )
-    if s is ExtremeSelector.MAX and min(g1, g2) <= 1.0:
-        raise DivergentTail(
-            f"CTE of the maximum requires min(gamma1, gamma2) > 1, "
-            f"got {min(g1, g2)}"
-        )
+    level = 0.5 * (1.0 + level_of(alpha))
+    return solve_level(_mixture(p, _selector(s)), level, settings)
 
 
 def extreme_cte(
@@ -155,11 +162,9 @@ def extreme_cte(
         DivergentTail: for Pareto marginals whose tail exponents make the
             conditional expectation infinite.
     """
-    sel = _selector(s)
-    _check_tail_exists(p, sel)
     a = level_of(alpha)
-    q = extreme_var(p, sel, a, settings)
-    return _mixture(p, sel).tail_expectation(q) / (1.0 - a)
+    law = _mixture(p, _selector(s))
+    return cte_beyond(law, solve_level(law, a, settings), a)
 
 
 def extreme_report(
@@ -169,12 +174,4 @@ def extreme_report(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> RiskReport:
     """All three measures of the selected extreme at one confidence level."""
-    a = Alpha(level_of(alpha))
-    return RiskReport(
-        alpha=a,
-        var=extreme_var(p, s, a, settings),
-        cte=extreme_cte(p, s, a, settings),
-        mot=extreme_mot(p, s, a, settings),
-        method=Method.ROOT_SOLVE,
-        tolerance=settings.abs_tol,
-    )
+    return law_report(_mixture(p, _selector(s)), level_of(alpha), settings)

@@ -125,9 +125,11 @@ def pdf(m: Marginal, x):
             xs >= 0.0, m.rate * np.exp(-m.rate * np.maximum(xs, 0.0)), 0.0
         )
     else:
+        # gamma/x * (x0/x)^gamma: x0^gamma and x^(-gamma-1) apart leave
+        # the float range
         safe = np.maximum(xs, m.x0)
         out = np.where(
-            xs >= m.x0, m.gamma * m.x0**m.gamma * safe ** (-m.gamma - 1.0), 0.0
+            xs >= m.x0, m.gamma / safe * (m.x0 / safe) ** m.gamma, 0.0
         )
     return out if out.ndim else float(out)
 

@@ -19,34 +19,27 @@ from .errors import BracketInvalid, DomainError, NoBracket, NoConvergence
 # exhaust it, which surfaces as the documented NoConvergence error
 _MAX_SIMPSON_DEPTH = 56
 
+# relative tolerance of the adaptive quadrature, which the tests use as an
+# oracle for the closed-form tail integrals
+_QUAD_REL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerances and iteration limits for root solves and quadrature.
+    """Tolerance and iteration limit of the root solver.
 
-    abs_tol is measured on the x axis. bracket_growth is the geometric
-    factor used when expanding an upper bracket. quad_rel_tol is the
-    relative tolerance of adaptive quadrature.
+    abs_tol is measured on the x axis; max_iter bounds both the bisections
+    and the doublings of an upper bracket.
     """
 
     abs_tol: float = 1e-12
     max_iter: int = 200
-    bracket_growth: float = 2.0
-    quad_rel_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if not self.abs_tol > 0:
             raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.bracket_growth > 1:
-            raise DomainError(
-                f"bracket_growth must exceed 1, got {self.bracket_growth}"
-            )
-        if not self.quad_rel_tol > 0:
-            raise DomainError(
-                f"quad_rel_tol must be positive, got {self.quad_rel_tol}"
-            )
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -104,8 +97,8 @@ def expand_bracket(
 ) -> tuple[float, float]:
     """Grow an upper bracket geometrically until f(hi) >= target.
 
-    The candidate starts at max(lo, 1) and is multiplied by bracket_growth
-    until the target is enclosed.
+    The candidate starts at max(lo, 1) and is doubled until the target is
+    enclosed.
 
     Raises:
         NoBracket: if the target is still not reached after max_iter
@@ -115,7 +108,7 @@ def expand_bracket(
     for _ in range(settings.max_iter):
         if f(hi) >= target:
             return (lo, hi)
-        hi *= settings.bracket_growth
+        hi *= 2.0
     raise NoBracket(
         f"f never reached {target} within {settings.max_iter} expansions "
         f"(last tried hi={hi})"
@@ -151,11 +144,7 @@ def pareto_tail_integral(x0: float, gamma: float, q: float) -> float:
     return gamma / (gamma - 1.0) * q * (x0 / q) ** gamma
 
 
-def quad_tail(
-    f: Callable[[float], float],
-    lo: float,
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> float:
+def quad_tail(f: Callable[[float], float], lo: float) -> float:
     """Adaptive quadrature of int_lo^inf f(x) dx.
 
     The substitution x = lo + t/(1-t) maps the tail onto t in [0, 1); the
@@ -164,7 +153,7 @@ def quad_tail(
     the transformed integrand vanishes at t = 1.
 
     Exponential decay and polynomial decay x^(-p) with p >= 3 meet
-    quad_rel_tol comfortably; heavier polynomial tails leave a cusp at
+    _QUAD_REL_TOL comfortably; heavier polynomial tails leave a cusp at
     t = 1 that plain Simpson cannot resolve to full tolerance, which
     surfaces as NoConvergence rather than a silently degraded result.
     """
@@ -175,7 +164,7 @@ def quad_tail(
         onemt = 1.0 - t
         return f(lo + t / onemt) / (onemt * onemt)
 
-    return _quad_finite(g, 0.0, 1.0, settings.quad_rel_tol)
+    return _quad_finite(g, 0.0, 1.0, _QUAD_REL_TOL)
 
 
 def _quad_finite(

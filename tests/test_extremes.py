@@ -4,6 +4,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from copula_risk._mixtures import ParetoTermMixture
 from copula_risk.copula import FgmCopula, cdf as copula_cdf
 from copula_risk.errors import DivergentTail, DomainError
 from copula_risk.extremes import (
@@ -142,6 +143,21 @@ class TestExtremePdf:
             tail = 1.0 - extreme_cdf(p, which, 60.0)
             assert total + tail == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    @pytest.mark.parametrize("which", ["min", "max"])
+    def test_steep_tails_at_small_scale(self, theta, which):
+        # x0**g * x**(-g - 1) leaves the float range at x0 = 0.01 and the
+        # exponent 170 of the (2, 2) term
+        p = BivariatePortfolio(
+            ParetoMarginal(0.01, 45.0), ParetoMarginal(0.01, 40.0), FgmCopula(theta)
+        )
+        q = extreme_var(p, which, 0.9)
+        h = q * 1e-6
+        fd = (extreme_cdf(p, which, q + h) - extreme_cdf(p, which, q - h)) / (2 * h)
+        dens = extreme_pdf(p, which, q)
+        assert math.isfinite(dens)
+        assert dens == pytest.approx(fd, rel=1e-6)
+
 
 class TestExtremeVar:
     def test_published_cells(self):
@@ -211,13 +227,17 @@ class TestExtremeCte:
         thin = BivariatePortfolio(
             ParetoMarginal(1.0, 0.4), ParetoMarginal(1.0, 0.5), FgmCopula(0.5)
         )
-        with pytest.raises(DivergentTail):
-            extreme_cte(thin, "min", 0.9)
         mixed = BivariatePortfolio(
             ParetoMarginal(1.0, 0.9), ParetoMarginal(1.0, 3.0), FgmCopula(0.5)
         )
+        for fn in (extreme_cte, extreme_report):
+            with pytest.raises(DivergentTail):
+                fn(thin, "min", 0.9)
+            with pytest.raises(DivergentTail):
+                fn(mixed, "max", 0.9)
+        # the rule lives on the Pareto law: its smallest exponent must exceed 1
         with pytest.raises(DivergentTail):
-            extreme_cte(mixed, "max", 0.9)
+            ParetoTermMixture(1.0, ((1.0, 0.9),)).tail_expectation(2.0)
         # VaR stays finite even when the tail expectation does not exist
         assert extreme_var(thin, "min", 0.9) > 1.0
 

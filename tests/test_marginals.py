@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -76,6 +77,14 @@ class TestPdf:
             for x in xs:
                 fd = (cdf(m, x + h) - cdf(m, x - h)) / (2 * h)
                 assert pdf(m, x) == pytest.approx(fd, abs=1e-6)
+
+    def test_steep_pareto_at_small_scale(self):
+        # x0**170 underflows and q**-171 overflows; their product does not
+        m, a = ParetoMarginal(0.01, 170.0), 0.9
+        q = var(m, a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pdf(m, q) == pytest.approx(170.0 * (1 - a) / q, rel=1e-12)
 
     def test_outside_support(self):
         assert pdf(EXP1, -1.0) == 0.0

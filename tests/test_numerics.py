@@ -227,9 +227,5 @@ def test_settings_validation():
         SolverSettings(abs_tol=0.0)
     with pytest.raises(DomainError):
         SolverSettings(max_iter=0)
-    with pytest.raises(DomainError):
-        SolverSettings(bracket_growth=1.0)
-    with pytest.raises(DomainError):
-        SolverSettings(quad_rel_tol=-1e-9)
     assert DEFAULT_SETTINGS.abs_tol == 1e-12
     assert DEFAULT_SETTINGS.max_iter == 200
