@@ -16,22 +16,25 @@ phi(0) = 1 (McCurdy, Ng and Parlett, Math. Comp. 43, 1984):
                             with g = b*q*phi(d*q)
 
 These are smooth through d = 0, where the pair is Erlang(2, b), so equal
-and 2:1 rates take the same path as every other rate pair. `_SumLaw` is a
-composite law with `lo = 0`, a `cdf` and a `tail_expectation`, so the sum's
-measures take the same solve-and-report path as the min and max
-(`extremes.solve_level`, `cte_beyond` and `law_report`): VaR and MoT are
-bracketed root solves of the CDF, CTE is the pairs' signed tail integrals
-beyond VaR divided by 1 - alpha, and a report solves VaR once.
+and 2:1 rates take the same path as every other rate pair.
+
+The sum is measured on the same `BivariatePortfolio` as the min and max.
+`_SumLaw` raises `DomainError` when the marginals are not exponential;
+`AggregateExpPortfolio` is the subclass that makes the same check when it
+is built. `_SumLaw` is a composite law with `lo = 0`, a `cdf` and a
+`tail_expectation`, so the sum's measures take the same solve-and-report
+path as the min and max (`extremes.solve_level`, `cte_beyond` and
+`law_report`): VaR and MoT are bracketed root solves of the CDF, CTE is
+the pairs' signed tail integrals beyond VaR divided by 1 - alpha, and a
+report solves VaR once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp, expm1
 
-from .copula import FgmCopula
 from .errors import DomainError
-from .extremes import cte_beyond, law_report, solve_level
+from .extremes import BivariatePortfolio, cte_beyond, law_report, solve_level
 from .marginals import AlphaLike, ExponentialMarginal, RiskReport, level_of
 from .numerics import DEFAULT_SETTINGS, SolverSettings
 
@@ -50,22 +53,21 @@ from .numerics import (  # noqa: F401
 _SINGULAR_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
-class AggregateExpPortfolio:
-    """Two exponential marginals coupled by an FGM copula, summed."""
+def _check_exponential(p: BivariatePortfolio) -> None:
+    # BivariatePortfolio already holds both marginals to one family
+    if not isinstance(p.m1, ExponentialMarginal):
+        raise DomainError("aggregate risk requires exponential marginals")
 
-    m1: ExponentialMarginal
-    m2: ExponentialMarginal
-    copula: FgmCopula
+
+class AggregateExpPortfolio(BivariatePortfolio):
+    """A BivariatePortfolio whose marginals are checked to be exponential."""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m1, ExponentialMarginal) or not isinstance(
-            self.m2, ExponentialMarginal
-        ):
-            raise DomainError("aggregate risk requires exponential marginals")
+        super().__post_init__()
+        _check_exponential(self)
 
 
-def is_singular(p: AggregateExpPortfolio) -> bool:
+def is_singular(p: BivariatePortfolio) -> bool:
     """True when a hypoexponential pair of the sum is (nearly) Erlang.
 
     That is, the rates sit within _SINGULAR_RTOL of the ratio 1, or of 2 or
@@ -93,7 +95,8 @@ class _SumLaw:
     __slots__ = ("_pairs", "_k")
     lo = 0.0
 
-    def __init__(self, p: AggregateExpPortfolio) -> None:
+    def __init__(self, p: BivariatePortfolio) -> None:
+        _check_exponential(p)
         l1, l2, th = p.m1.rate, p.m2.rate, p.copula.theta
         if l1 > l2:
             # the pairs and weights are symmetric under swapping the rates
@@ -165,14 +168,14 @@ class _SumLaw:
         return total
 
 
-def aggregate_pdf(p: AggregateExpPortfolio, x: float) -> float:
+def aggregate_pdf(p: BivariatePortfolio, x: float) -> float:
     """Density of X1 + X2 at x >= 0."""
     if x < 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
     return _SumLaw(p).pdf(x)
 
 
-def aggregate_cdf(p: AggregateExpPortfolio, x: float) -> float:
+def aggregate_cdf(p: BivariatePortfolio, x: float) -> float:
     """Distribution function of X1 + X2 at x >= 0."""
     if x < 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
@@ -180,7 +183,7 @@ def aggregate_cdf(p: AggregateExpPortfolio, x: float) -> float:
 
 
 def aggregate_var(
-    p: AggregateExpPortfolio,
+    p: BivariatePortfolio,
     alpha: AlphaLike,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
@@ -189,7 +192,7 @@ def aggregate_var(
 
 
 def aggregate_mot(
-    p: AggregateExpPortfolio,
+    p: BivariatePortfolio,
     alpha: AlphaLike,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
@@ -198,7 +201,7 @@ def aggregate_mot(
 
 
 def aggregate_cte(
-    p: AggregateExpPortfolio,
+    p: BivariatePortfolio,
     alpha: AlphaLike,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
@@ -213,7 +216,7 @@ def aggregate_cte(
 
 
 def aggregate_report(
-    p: AggregateExpPortfolio,
+    p: BivariatePortfolio,
     alpha: AlphaLike,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> RiskReport:

@@ -16,9 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -70,31 +68,6 @@ VERIFY_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Output and sampling configuration shared by all subcommands.
-
-    seed and mc_n only matter to the Monte Carlo cross-check.
-    """
-
-    output_format: str = "csv"
-    output_path: Optional[str] = None
-    seed: int = 42
-    mc_n: int = 1_000_000
-    solver: SolverSettings = DEFAULT_SETTINGS
-
-
-def _config(args) -> RunConfig:
-    tol = getattr(args, "tol", None)
-    return RunConfig(
-        output_format=args.format,
-        output_path=args.out,
-        seed=_resolve_seed(getattr(args, "seed", None)),
-        mc_n=getattr(args, "mc_n", 1_000_000),
-        solver=SolverSettings(abs_tol=tol) if tol is not None else DEFAULT_SETTINGS,
-    )
-
-
 def _fmt_cell(v) -> str:
     if v is None:
         return ""
@@ -103,8 +76,8 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _emit(records: list[dict], fields: tuple, config: RunConfig) -> None:
-    if config.output_format == "json":
+def _emit(records: list[dict], fields: tuple, args) -> None:
+    if args.format == "json":
         text = json.dumps(
             [{k: r.get(k) for k in fields} for r in records], indent=2
         ) + "\n"
@@ -113,10 +86,10 @@ def _emit(records: list[dict], fields: tuple, config: RunConfig) -> None:
         for r in records:
             lines.append(",".join(_fmt_cell(r.get(k)) for k in fields))
         text = "\n".join(lines) + "\n"
-    if config.output_path in (None, "-"):
+    if args.out in (None, "-"):
         sys.stdout.write(text)
     else:
-        Path(config.output_path).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
 
 
 def _resolve_seed(arg_seed) -> int:
@@ -134,10 +107,9 @@ def _resolve_seed(arg_seed) -> int:
 
 
 def cmd_measure(args) -> int:
-    config = _config(args)
-    settings = config.solver
+    settings = SolverSettings(abs_tol=args.tol)
     portfolio = build_portfolio(
-        args.dist, args.target, args.theta,
+        args.dist, args.theta,
         exp_rates=(args.l1, args.l2),
         pareto_x0=args.x0,
         pareto_gammas=(args.g1, args.g2),
@@ -162,12 +134,12 @@ def cmd_measure(args) -> int:
         "method": method,
         "tolerance": tol,
     }
-    _emit([record], MEASURE_FIELDS, config)
+    _emit([record], MEASURE_FIELDS, args)
     return 0
 
 
 def cmd_table(args) -> int:
-    config = _config(args)
+    settings = SolverSettings(abs_tol=args.tol)
     grid = (
         tuple(float(t) for t in args.theta_grid.split(","))
         if args.theta_grid
@@ -181,15 +153,15 @@ def cmd_table(args) -> int:
         pareto_x0=args.x0,
         pareto_gammas=(args.g1, args.g2),
     )
-    _emit(compute_table(spec, config.solver), TABLE_FIELDS, config)
+    _emit(compute_table(spec, settings), TABLE_FIELDS, args)
     return 0
 
 
 def cmd_figure(args) -> int:
-    config = _config(args)
+    settings = SolverSettings(abs_tol=args.tol)
     var_id, cte_id = FIGURES[args.figure_id]
-    var_rows = compute_table(TableSpec(table_id=var_id), config.solver)
-    cte_rows = compute_table(TableSpec(table_id=cte_id), config.solver)
+    var_rows = compute_table(TableSpec(table_id=var_id), settings)
+    cte_rows = compute_table(TableSpec(table_id=cte_id), settings)
     records = [
         {
             "figure_id": args.figure_id,
@@ -199,7 +171,7 @@ def cmd_figure(args) -> int:
         }
         for vr, cr in zip(var_rows, cte_rows)
     ]
-    _emit(records, FIGURE_FIELDS, config)
+    _emit(records, FIGURE_FIELDS, args)
     return 0
 
 
@@ -207,12 +179,9 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
                   stream_base=0):
     records = []
     for stream, theta in enumerate(thetas, start=stream_base):
-        bi = build_portfolio(family, "min", theta)
-        batch = sample_pairs(bi, mc_n, seed, stream=stream)
+        portfolio = build_portfolio(family, theta)
+        batch = sample_pairs(portfolio, mc_n, seed, stream=stream)
         for target in targets:
-            portfolio = (
-                build_portfolio(family, "sum", theta) if target == "sum" else bi
-            )
             xs = np.sort(scalar_sample(batch, target))
             for alpha in alphas:
                 a = level_of(alpha)
@@ -258,20 +227,21 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
 
 
 def cmd_verify(args) -> int:
-    config = _config(args)
+    seed = _resolve_seed(args.seed)
+    settings = SolverSettings(abs_tol=args.tol)
     exp_thetas = VERIFY_EXP_THETAS
     par_thetas = VERIFY_PARETO_THETAS
     if args.theta is not None:
         exp_thetas = par_thetas = (args.theta,)
     records = _verify_cells(
         "exp", exp_thetas, VERIFY_EXP_ALPHAS, VERIFY_EXP_TARGETS,
-        config.mc_n, config.seed, config.solver, stream_base=0,
+        args.mc_n, seed, settings, stream_base=0,
     )
     records += _verify_cells(
         "pareto", par_thetas, VERIFY_PARETO_ALPHAS, VERIFY_PARETO_TARGETS,
-        config.mc_n, config.seed, config.solver, stream_base=len(exp_thetas),
+        args.mc_n, seed, settings, stream_base=len(exp_thetas),
     )
-    _emit(records, VERIFY_FIELDS, config)
+    _emit(records, VERIFY_FIELDS, args)
     return 0 if all(r["status"] == "pass" for r in records) else 1
 
 
@@ -279,7 +249,7 @@ def _add_output_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output file (default: stdout)")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=DEFAULT_SETTINGS.abs_tol,
                    help="solver tolerance on the x axis (default 1e-12)")
 
 

@@ -105,7 +105,7 @@ def extreme_pdf(p: BivariatePortfolio, s, x: float) -> float:
 # the solves of the sum as well
 def solve_level(law, level: float, settings: SolverSettings) -> float:
     """Smallest x with law.cdf(x) >= level: bracket up from law.lo, bisect."""
-    lo, hi = expand_bracket(law.cdf, level, law.lo, settings)
+    lo, hi = expand_bracket(law.cdf, level, law.lo)
     return solve_increasing(law.cdf, level, lo, hi, settings)
 
 

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .aggregate import AggregateExpPortfolio
 from .copula import conditional_quantile
 from .errors import DomainError, LowTailCount
 from .extremes import BivariatePortfolio
@@ -26,8 +24,6 @@ from .marginals import AlphaLike, level_of, quantile
 
 _BLOCK = 1 << 16
 _V_CAP = float(np.nextafter(1.0, 0.0))
-
-Portfolio = Union[BivariatePortfolio, AggregateExpPortfolio]
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ class EstimateWithError:
 
 
 def sample_pairs(
-    portfolio: Portfolio, n: int, seed: int, stream: int = 0
+    portfolio: BivariatePortfolio, n: int, seed: int, stream: int = 0
 ) -> SampleBatch:
     """Draw n dependent pairs from the portfolio's copula and marginals.
 

@@ -24,22 +24,19 @@ _MAX_SIMPSON_DEPTH = 56
 _QUAD_REL_TOL = 1e-10
 
 
+# bound on both the bisections and the doublings of an upper bracket
+_MAX_ITER = 200
+
+
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerance and iteration limit of the root solver.
-
-    abs_tol is measured on the x axis; max_iter bounds both the bisections
-    and the doublings of an upper bracket.
-    """
+    """Tolerance of the root solver, measured on the x axis."""
 
     abs_tol: float = 1e-12
-    max_iter: int = 200
 
     def __post_init__(self) -> None:
         if not self.abs_tol > 0:
             raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -61,7 +58,7 @@ def solve_increasing(
     Raises:
         BracketInvalid: if f(lo) > target or f(hi) < target.
         NoConvergence: if the interval is still wider than abs_tol after
-            max_iter bisections.
+            _MAX_ITER bisections.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -72,7 +69,7 @@ def solve_increasing(
         )
     if flo >= target:
         return lo
-    for _ in range(settings.max_iter):
+    for _ in range(_MAX_ITER):
         if hi - lo <= settings.abs_tol:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
@@ -85,15 +82,12 @@ def solve_increasing(
             lo = mid
     raise NoConvergence(
         f"bisection did not reach abs_tol={settings.abs_tol} "
-        f"in {settings.max_iter} iterations"
+        f"in {_MAX_ITER} iterations"
     )
 
 
 def expand_bracket(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    settings: SolverSettings = DEFAULT_SETTINGS,
+    f: Callable[[float], float], target: float, lo: float
 ) -> tuple[float, float]:
     """Grow an upper bracket geometrically until f(hi) >= target.
 
@@ -101,16 +95,16 @@ def expand_bracket(
     enclosed.
 
     Raises:
-        NoBracket: if the target is still not reached after max_iter
+        NoBracket: if the target is still not reached after _MAX_ITER
             expansions.
     """
     hi = max(lo, 1.0)
-    for _ in range(settings.max_iter):
+    for _ in range(_MAX_ITER):
         if f(hi) >= target:
             return (lo, hi)
         hi *= 2.0
     raise NoBracket(
-        f"f never reached {target} within {settings.max_iter} expansions "
+        f"f never reached {target} within {_MAX_ITER} expansions "
         f"(last tried hi={hi})"
     )
 

@@ -8,6 +8,11 @@ from the defining equations (the computed value also disagrees with a
 Monte Carlo estimate by far more than sampling error, so the published
 entries themselves appear to be misprints). Computed output never
 substitutes a published value: tables always carry both plus their delta.
+
+`build_portfolio` assembles one `BivariatePortfolio` per family and theta,
+and `compute_measure` measures any target on it: a marginal (x1, x2), the
+minimum, the maximum or the sum. Only the sum's law restricts the family:
+it raises DomainError for Pareto marginals.
 """
 
 from __future__ import annotations
@@ -15,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .aggregate import (
-    AggregateExpPortfolio,
-    aggregate_cte,
-    aggregate_mot,
-    aggregate_var,
-)
+from .aggregate import aggregate_cte, aggregate_mot, aggregate_var
 from .copula import FgmCopula
 from .errors import DomainError
 from .extremes import (
@@ -112,39 +112,35 @@ class TableSpec:
 
 def build_portfolio(
     family: str,
-    target: str,
     theta: float,
     exp_rates=DEFAULT_EXP_RATES,
     pareto_x0=DEFAULT_PARETO_X0,
     pareto_gammas=DEFAULT_PARETO_GAMMAS,
-):
-    """Assemble the portfolio object for a (family, target) combination."""
-    cop = FgmCopula(theta)
+) -> BivariatePortfolio:
+    """The one portfolio of a family that every target is measured on."""
     if family == "exp":
         m1 = ExponentialMarginal(exp_rates[0])
         m2 = ExponentialMarginal(exp_rates[1])
-        if target == "sum":
-            return AggregateExpPortfolio(m1, m2, cop)
-        return BivariatePortfolio(m1, m2, cop)
-    if family == "pareto":
-        if target == "sum":
-            raise DomainError(
-                "the aggregate closed forms cover exponential marginals only"
-            )
+    elif family == "pareto":
         m1 = ParetoMarginal(pareto_x0, pareto_gammas[0])
         m2 = ParetoMarginal(pareto_x0, pareto_gammas[1])
-        return BivariatePortfolio(m1, m2, cop)
-    raise DomainError(f"family must be 'exp' or 'pareto', got {family!r}")
+    else:
+        raise DomainError(f"family must be 'exp' or 'pareto', got {family!r}")
+    return BivariatePortfolio(m1, m2, FgmCopula(theta))
 
 
 def compute_measure(
-    portfolio,
+    portfolio: BivariatePortfolio,
     target: str,
     measure: str,
     alpha: float,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
-    """Evaluate one measure for one target on an assembled portfolio."""
+    """Evaluate one measure for one target on an assembled portfolio.
+
+    Sums need exponential marginals; the aggregate measures raise
+    DomainError for any other family.
+    """
     if target in ("x1", "x2"):
         m = portfolio.m1 if target == "x1" else portfolio.m2
         return {"var": var, "cte": cte, "mot": mot}[measure](m, alpha)
@@ -178,7 +174,6 @@ def compute_table(
     for theta in spec.theta_grid:
         portfolio = build_portfolio(
             tdef.family,
-            tdef.target,
             theta,
             exp_rates=spec.exp_rates,
             pareto_x0=spec.pareto_x0,

@@ -49,10 +49,25 @@ def conv_pdf_oracle(theta, x, l1=0.5, l2=0.6):
 
 class TestConstruction:
     def test_requires_exponential_marginals(self):
+        pareto = (ParetoMarginal(1.0, 3.0), ParetoMarginal(1.0, 4.0))
         with pytest.raises(DomainError):
-            AggregateExpPortfolio(
-                ParetoMarginal(1.0, 3.0), ParetoMarginal(1.0, 4.0), FgmCopula(0.0)
-            )
+            AggregateExpPortfolio(*pareto, FgmCopula(0.0))
+        # a plain portfolio is checked when its sum is measured
+        p = BivariatePortfolio(*pareto, FgmCopula(0.5))
+        for fn in (aggregate_var, aggregate_cdf, aggregate_pdf, aggregate_report):
+            with pytest.raises(DomainError, match="exponential marginals"):
+                fn(p, 0.9)
+
+    @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.5, 1.0])
+    def test_plain_bivariate_portfolio_sums_alike(self, theta):
+        checked = portfolio(theta)
+        plain = BivariatePortfolio(checked.m1, checked.m2, checked.copula)
+        assert type(plain) is BivariatePortfolio
+        for fn in (aggregate_var, aggregate_cte, aggregate_mot, aggregate_report):
+            assert fn(plain, 0.9) == fn(checked, 0.9)
+        for x in (0.5, 3.0, 9.0):
+            assert aggregate_cdf(plain, x) == aggregate_cdf(checked, x)
+            assert aggregate_pdf(plain, x) == aggregate_pdf(checked, x)
 
     def test_singularity_guard(self):
         assert not is_singular(portfolio(0.9))

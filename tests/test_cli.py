@@ -4,8 +4,16 @@ import json
 
 import pytest
 
+from copula_risk.aggregate import aggregate_report
 from copula_risk.cli import main
-from copula_risk.tables import TableSpec, compute_table
+from copula_risk.extremes import extreme_report
+from copula_risk.marginals import report
+from copula_risk.tables import (
+    TableSpec,
+    build_portfolio,
+    compute_measure,
+    compute_table,
+)
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +108,34 @@ class TestMeasure:
         assert csv_row["method"] == json_row["method"]
 
 
+def _library_report(portfolio, target, alpha):
+    if target in ("x1", "x2"):
+        return report(portfolio.m1 if target == "x1" else portfolio.m2, alpha)
+    if target == "sum":
+        return aggregate_report(portfolio, alpha)
+    return extreme_report(portfolio, target, alpha)
+
+
+@pytest.mark.parametrize("measure", ["var", "cte", "mot"])
+@pytest.mark.parametrize(
+    "dist,target",
+    [(d, t) for d in ("exp", "pareto") for t in ("x1", "x2", "min", "max", "sum")
+     if (d, t) != ("pareto", "sum")],
+)
+def test_measure_matches_the_library(capsys, dist, target, measure):
+    rc, out, _ = run_cli(
+        capsys, "measure", "--dist", dist, "--theta", "0.5",
+        "--alpha", "0.95", "--target", target, "--measure", measure,
+    )
+    assert rc == 0
+    row = parse_csv(out)[0]
+    portfolio = build_portfolio(dist, 0.5)
+    assert float(row["value"]) == compute_measure(portfolio, target, measure, 0.95)
+    rep = _library_report(portfolio, target, 0.95)
+    assert row["method"] == rep.method.value
+    assert float(row["tolerance"]) == rep.tolerance
+
+
 class TestTable:
     def test_published_cells(self, capsys):
         rc, out, _ = run_cli(capsys, "table", "3")
@@ -135,6 +171,13 @@ class TestTable:
         rc, out, _ = run_cli(capsys, "table", "1", "--out", str(target))
         assert rc == 0 and out == ""
         assert target.read_text().startswith("table_id,theta")
+
+    def test_garbage_env_seed_is_ignored(self, capsys, monkeypatch):
+        # tables never sample, so COPULA_RISK_SEED is not read
+        clean = run_cli(capsys, "table", "1")
+        monkeypatch.setenv("COPULA_RISK_SEED", "not-a-number")
+        assert run_cli(capsys, "table", "1") == clean
+        assert clean[0] == 0 and clean[2] == ""
 
     def test_byte_stable_across_runs(self, capsys):
         _, first, _ = run_cli(capsys, "table", "15")

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from copula_risk._mixtures import ParetoTermMixture
 from copula_risk.copula import FgmCopula, cdf as copula_cdf
-from copula_risk.errors import DivergentTail, DomainError
+from copula_risk.errors import DivergentTail, DomainError, NoBracket
 from copula_risk.extremes import (
     BivariatePortfolio,
     ExtremeSelector,
@@ -187,6 +187,35 @@ class TestExtremeVar:
                 v2 = marginal_var(p.m2, alpha)
                 assert extreme_var(p, "min", alpha) <= min(v1, v2) + 1e-9
                 assert extreme_var(p, "max", alpha) >= max(v1, v2) - 1e-9
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP items 2 and 4: the solver's abs_tol = 1e-12 is "
+        "absolute, so bisection stops at about 4.5e-13 far above a root "
+        "of about 1e-30",
+    )
+    def test_min_var_at_large_rates(self):
+        e = ExponentialMarginal(1e30)
+        p = BivariatePortfolio(e, e, FgmCopula(0.0))
+        # min of two independent Exp(1e30) is Exp(2e30)
+        expected = math.log(10.0) / 2e30
+        assert extreme_var(p, "min", 0.9) == pytest.approx(
+            expected, rel=1e-10, abs=0.0
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NoBracket,
+        reason="ROADMAP items 2 and 4: the upper bracket doubles from 1 at "
+        "most 200 times, to 2^200 (about 1.6e60), short of a root near 2e100",
+    )
+    def test_max_var_at_small_rates(self):
+        e = ExponentialMarginal(1e-100)
+        p = BivariatePortfolio(e, e, FgmCopula(0.0))
+        # max of two independent Exp(rate) has F(x) = (1 - exp(-rate*x))^2
+        expected = -math.log1p(-math.sqrt(0.9)) / 1e-100
+        assert extreme_var(p, "max", 0.9) == pytest.approx(expected, rel=1e-10)
 
 
 class TestExtremeCte:

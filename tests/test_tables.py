@@ -7,6 +7,7 @@ from copula_risk.tables import (
     TABLES,
     TableSpec,
     build_portfolio,
+    compute_measure,
     compute_table,
 )
 
@@ -101,7 +102,11 @@ def test_figures_map_to_var_cte_table_pairs():
 
 
 def test_build_portfolio_rejects_pareto_sum():
+    # one portfolio serves every target; the sum's law rejects Pareto
+    # marginals when the sum is measured
+    pareto = build_portfolio("pareto", 0.5)
+    for measure in ("var", "cte", "mot"):
+        with pytest.raises(DomainError):
+            compute_measure(pareto, "sum", measure, 0.9)
     with pytest.raises(DomainError):
-        build_portfolio("pareto", "sum", 0.5)
-    with pytest.raises(DomainError):
-        build_portfolio("lognormal", "min", 0.5)
+        build_portfolio("lognormal", 0.5)
