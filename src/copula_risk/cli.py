@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .errors import CopulaRiskError, DomainError, LowTailCount
 from .marginals import level_of
@@ -175,14 +174,44 @@ def cmd_figure(args) -> int:
     return 0
 
 
+def _first_read(n: int, alphas) -> int:
+    """Lowest 0-based order statistic the estimators read at any alpha.
+
+    VaR and MoT read the order statistics from ceil(level*n) - k up, with
+    k one binomial standard deviation, at the levels alpha and
+    (1 + alpha)/2; CTE reads ceil(alpha*n) and the values above it.
+    """
+    first = n - 1
+    for a in map(level_of, alphas):
+        for lv in (a, 0.5 * (1.0 + a)):
+            k = max(1, round(math.sqrt(n * lv * (1.0 - lv))))
+            first = min(first, max(math.ceil(lv * n) - k, 1) - 1)
+    return first
+
+
+def _tail_sorted(sample, first: int):
+    """The sample with its order statistics from `first` up in place.
+
+    Everything below index `first` is at most the value there, in no
+    particular order, and everything from there up is sorted: each index
+    an estimator reads holds what a full sort puts there, and the values
+    above any order statistic at or past `first` come in the same order.
+    """
+    xs = sample if sample.flags.writeable else sample.copy()
+    xs.partition(first)
+    xs[first:].sort()
+    return xs
+
+
 def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
                   stream_base=0):
     records = []
+    first = _first_read(mc_n, alphas)
     for stream, theta in enumerate(thetas, start=stream_base):
         portfolio = build_portfolio(family, theta)
         batch = sample_pairs(portfolio, mc_n, seed, stream=stream)
         for target in targets:
-            xs = np.sort(scalar_sample(batch, target))
+            xs = _tail_sorted(scalar_sample(batch, target), first)
             for alpha in alphas:
                 a = level_of(alpha)
                 for measure in VERIFY_MEASURES:

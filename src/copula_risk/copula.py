@@ -2,15 +2,14 @@
 
 C(u, v) = uv + theta * uv(1-u)(1-v) for theta in [-1, 1]. Outside that
 range the density goes negative, so theta is validated once at
-construction. All functions accept scalars or numpy arrays.
+construction. All functions accept scalars or numpy arrays; numpy is
+imported on the first call, not with the module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -27,8 +26,11 @@ class FgmCopula:
 
 
 def _unit(name: str, x):
+    import numpy as np
+
     xs = np.asarray(x, dtype=float)
-    if np.any((xs < 0.0) | (xs > 1.0)):
+    # written so that NaN fails the check too
+    if np.any(~((xs >= 0.0) & (xs <= 1.0))):
         raise DomainError(f"{name} must lie in [0, 1]")
     return xs
 
@@ -72,6 +74,8 @@ def conditional_quantile(c: FgmCopula, w, given_u):
     quadratic in v whose root in [0, 1] is evaluated in the cancellation-free
     form 2w / ((1+a) + sqrt((1+a)^2 - 4aw)).
     """
+    import numpy as np
+
     ws, us = _unit("w", w), _unit("given_u", given_u)
     a = c.theta * (1.0 - 2.0 * us)
     disc = (1.0 + a) ** 2 - 4.0 * a * ws
@@ -88,7 +92,7 @@ def rectangle_mass(c: FgmCopula, u1, u2, v1, v2):
     """
     u1s, u2s = _unit("u1", u1), _unit("u2", u2)
     v1s, v2s = _unit("v1", v1), _unit("v2", v2)
-    if np.any(u1s > u2s) or np.any(v1s > v2s):
+    if (u1s > u2s).any() or (v1s > v2s).any():
         raise DomainError("rectangle corners must satisfy u1 <= u2 and v1 <= v2")
     th = c.theta
     mass = (

@@ -1,8 +1,10 @@
 """Exponential and Pareto loss marginals with closed-form risk measures.
 
 All single-risk measures (VaR, CTE, MoT) have exact closed forms for the
-two families in scope, so nothing here touches the root solver. Functions
-accept scalars or numpy arrays where that is useful for sampling.
+two families in scope, so nothing here touches the root solver. The scalar
+measures (`var`, `cte`, `mot`, `report`) compute in `math`; the array
+helpers (`cdf`, `pdf`, `quantile`) accept scalars or numpy arrays for
+sampling and import numpy on their first call, not with the module.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
-
-import numpy as np
 
 from .errors import DivergentTail, DomainError
 from .numerics import exp_tail_integral, pareto_tail_integral
@@ -107,6 +107,8 @@ def _dispatch(m: Marginal):
 
 def cdf(m: Marginal, x):
     """Distribution function; 0 below the support."""
+    import numpy as np
+
     xs = np.asarray(x, dtype=float)
     if _dispatch(m) == "exp":
         out = np.where(xs > 0.0, -np.expm1(-m.rate * np.maximum(xs, 0.0)), 0.0)
@@ -119,6 +121,8 @@ def cdf(m: Marginal, x):
 
 def pdf(m: Marginal, x):
     """Density; 0 outside the support."""
+    import numpy as np
+
     xs = np.asarray(x, dtype=float)
     if _dispatch(m) == "exp":
         out = np.where(
@@ -136,8 +140,11 @@ def pdf(m: Marginal, x):
 
 def quantile(m: Marginal, p):
     """Left-continuous inverse CDF, exact; accepts p in [0, 1)."""
+    import numpy as np
+
     ps = np.asarray(p, dtype=float)
-    if np.any((ps < 0.0) | (ps >= 1.0)):
+    # written so that NaN fails the check too
+    if np.any(~((ps >= 0.0) & (ps < 1.0))):
         raise DomainError("quantile level must lie in [0, 1)")
     if _dispatch(m) == "exp":
         out = -np.log1p(-ps) / m.rate
@@ -146,9 +153,23 @@ def quantile(m: Marginal, p):
     return out if out.ndim else float(out)
 
 
+def _level_quantile(m: Marginal, a: float) -> float:
+    """The quantile at one level a in (0, 1), in math: `quantile`'s formulas."""
+    if not a < 1.0:  # (1 + alpha)/2 rounds to 1 for the largest alpha
+        raise DomainError("quantile level must lie in [0, 1)")
+    if _dispatch(m) == "exp":
+        # 1 - a is exact for a >= 1/2, where log(1 - a) rounds correctly
+        # more often than log1p(-a)
+        return -(math.log(1.0 - a) if a >= 0.5 else math.log1p(-a)) / m.rate
+    try:
+        return m.x0 * (1.0 - a) ** (-1.0 / m.gamma)
+    except OverflowError:  # float ** raises where numpy's power gives inf
+        return math.inf
+
+
 def var(m: Marginal, alpha: AlphaLike) -> float:
     """Value at risk: the alpha-quantile, in closed form."""
-    return quantile(m, level_of(alpha))
+    return _level_quantile(m, level_of(alpha))
 
 
 def cte(m: Marginal, alpha: AlphaLike) -> float:
@@ -171,7 +192,7 @@ def cte(m: Marginal, alpha: AlphaLike) -> float:
 def mot(m: Marginal, alpha: AlphaLike) -> float:
     """Median of the tail beyond VaR: the quantile at level (1 + alpha)/2."""
     a = level_of(alpha)
-    return quantile(m, 0.5 * (1.0 + a))
+    return _level_quantile(m, 0.5 * (1.0 + a))
 
 
 def tail_expectation(m: Marginal, q: float) -> float:

@@ -6,24 +6,30 @@ marginal quantile functions. Pairs are generated in fixed-size blocks,
 each block from its own substream spawned from (seed, stream, block
 index), so a batch is reproducible bit for bit, any prefix of a longer
 batch matches a shorter one, and blocks can be farmed out to workers
-without changing the merged result (blocks always concatenate in index
-order).
+without changing the merged result. Each block is written in place, in
+index order, into one preallocated column-major (n, 2) array, so both
+columns are contiguous and nothing is concatenated.
+
+numpy is imported on first use, where a batch is sampled or estimated:
+importing this module (and so the package and its CLI) does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .copula import conditional_quantile
 from .errors import DomainError, LowTailCount
 from .extremes import BivariatePortfolio
 from .marginals import AlphaLike, level_of, quantile
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _BLOCK = 1 << 16
-_V_CAP = float(np.nextafter(1.0, 0.0))
+_V_CAP = math.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -70,29 +76,35 @@ def sample_pairs(
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    import numpy as np
+
     seed = int(seed)
-    nblocks = -(-n // _BLOCK)
-    x1_parts = []
-    x2_parts = []
+    pairs = np.empty((n, 2), order="F")
     root = np.random.SeedSequence(entropy=seed, spawn_key=(int(stream),))
-    for child in root.spawn(nblocks):
+    for start, child in zip(range(0, n, _BLOCK), root.spawn(-(-n // _BLOCK))):
         rng = np.random.default_rng(child)
-        u = rng.random(_BLOCK)
-        w = rng.random(_BLOCK)
+        # every block draws a full _BLOCK of u then of w, so its values do
+        # not depend on n; only the pairs the batch keeps are transformed
+        take = min(_BLOCK, n - start)
+        u = rng.random(_BLOCK)[:take]
+        w = rng.random(_BLOCK)[:take]
         v = np.minimum(
             conditional_quantile(portfolio.copula, w, u), _V_CAP
         )
-        x1_parts.append(quantile(portfolio.m1, u))
-        x2_parts.append(quantile(portfolio.m2, v))
-    pairs = np.column_stack(
-        (np.concatenate(x1_parts)[:n], np.concatenate(x2_parts)[:n])
-    )
+        pairs[start:start + take, 0] = quantile(portfolio.m1, u)
+        pairs[start:start + take, 1] = quantile(portfolio.m2, v)
     pairs.setflags(write=False)
     return SampleBatch(pairs=pairs, seed=seed, n=n)
 
 
 def scalar_sample(batch: SampleBatch, target: str) -> np.ndarray:
-    """Derive the scalar loss sample (x1, x2, min, max or sum) of a batch."""
+    """Derive the scalar loss sample (x1, x2, min, max or sum) of a batch.
+
+    x1 and x2 are read-only views into the batch; min, max and sum are
+    fresh arrays the caller may reorder in place.
+    """
+    import numpy as np
+
     if target == "x1":
         return batch.x1
     if target == "x2":
@@ -107,6 +119,8 @@ def scalar_sample(batch: SampleBatch, target: str) -> np.ndarray:
 
 
 def _sorted_sample(sample) -> np.ndarray:
+    import numpy as np
+
     xs = np.sort(np.asarray(sample, dtype=float).ravel())
     if xs.size == 0:
         raise DomainError("sample must be nonempty")

@@ -1,13 +1,22 @@
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import copula_risk
+from copula_risk import cli
 from copula_risk.aggregate import aggregate_report
 from copula_risk.cli import main
 from copula_risk.extremes import extreme_report
 from copula_risk.marginals import report
+from copula_risk.numerics import DEFAULT_SETTINGS
 from copula_risk.tables import (
     TableSpec,
     build_portfolio,
@@ -40,6 +49,23 @@ class TestMeasure:
         assert rows[0]["method"] == "root_solve"
         assert rows[0]["dist"] == "exp"
         assert rows[0]["x0"] == ""  # irrelevant family parameters left blank
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 2: the large-rate CTE defect of "
+        "extreme_cte reaches the CLI, which prints 0 and exits 0",
+    )
+    def test_min_cte_at_large_rates(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "measure", "--dist", "exp", "--l1", "1e30", "--l2", "1e30",
+            "--theta", "0", "--target", "min", "--measure", "cte",
+        )
+        assert rc == 0
+        expected = math.log(10.0) / 2e30 + 1.0 / 2e30
+        assert float(parse_csv(out)[0]["value"]) == pytest.approx(
+            expected, rel=1e-10, abs=0.0
+        )
 
     def test_independent_max_cte_default_rates(self, capsys):
         rc, out, _ = run_cli(
@@ -260,3 +286,64 @@ class TestVerify:
         _, out_other, _ = run_cli(capsys, "verify", "--mc-n", "20000",
                                   "--theta", "0.5", "--seed", "100")
         assert out_env != out_other
+
+
+class TestVerifyTailSort:
+    """`_verify_cells` sorts only the tail the estimators read.
+
+    The reference is the same grid with every scalar sample fully sorted.
+    """
+
+    @staticmethod
+    def grid(seed, mc_n):
+        # the CLI's grid, plus x1 and x2, whose samples are read-only views
+        return cli._verify_cells(
+            "exp", cli.VERIFY_EXP_THETAS, cli.VERIFY_EXP_ALPHAS,
+            ("x1",) + cli.VERIFY_EXP_TARGETS, mc_n, seed, DEFAULT_SETTINGS,
+        ) + cli._verify_cells(
+            "pareto", cli.VERIFY_PARETO_THETAS, cli.VERIFY_PARETO_ALPHAS,
+            ("x2",) + cli.VERIFY_PARETO_TARGETS, mc_n, seed, DEFAULT_SETTINGS,
+            stream_base=len(cli.VERIFY_EXP_THETAS),
+        )
+
+    @pytest.mark.parametrize("mc_n", [100, 1000, 20000, 2**16 + 3])
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_records_equal_full_sort(self, monkeypatch, seed, mc_n):
+        records = self.grid(seed, mc_n)
+        monkeypatch.setattr(
+            cli, "_tail_sorted", lambda sample, first: np.sort(sample)
+        )
+        assert records == self.grid(seed, mc_n)
+        if mc_n == 100:
+            assert any(r["status"] == "low_tail_count" for r in records)
+
+
+def test_cold_start_without_numpy():
+    """The package, its CLI and the analytic subcommands never load numpy."""
+    script = """
+import contextlib, io, sys
+import copula_risk, copula_risk.cli
+assert "numpy" not in sys.modules, "on import"
+runs = [["table", "1"], ["figure", "1"]]
+for dist in ("exp", "pareto"):
+    for target in ("x1", "min", "max"):
+        for measure in ("var", "cte", "mot"):
+            runs.append(["measure", "--dist", dist, "--target", target,
+                         "--measure", measure])
+for measure in ("var", "cte", "mot"):
+    runs.append(["measure", "--dist", "exp", "--target", "sum",
+                 "--measure", measure])
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in runs:
+        assert copula_risk.cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "after the subcommands"
+"""
+    src = str(Path(copula_risk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

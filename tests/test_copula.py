@@ -226,3 +226,29 @@ def test_vectorized_evaluation():
     assert out[1] == pytest.approx(cdf(c, 0.5, 0.5))
     w = conditional_quantile(c, v, u)
     assert np.all((w >= 0) & (w <= 1))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (cdf, (NAN, 0.5)),
+        (cdf, (0.5, NAN)),
+        (density, (NAN, 0.5)),
+        (survival, (0.5, NAN)),
+        (conditional_cdf, (NAN, 0.5)),
+        (conditional_cdf, (0.5, NAN)),
+        (conditional_quantile, (NAN, 0.5)),
+        (conditional_quantile, (0.5, NAN)),
+        (conditional_quantile, (np.array([0.2, NAN]), np.array([0.5, 0.5]))),
+        (rectangle_mass, (0.1, NAN, 0.1, 0.2)),
+        (rectangle_mass, (0.1, 0.2, NAN, 0.2)),
+    ],
+)
+def test_nan_arguments_rejected(fn, args):
+    # NaN compares false both ways, so a check written as "below 0 or
+    # above 1" let it through: cdf returned nan, conditional_quantile 0.0
+    with pytest.raises(DomainError):
+        fn(FgmCopula(0.5), *args)

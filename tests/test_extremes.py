@@ -219,6 +219,22 @@ class TestExtremeVar:
 
 
 class TestExtremeCte:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 2: VaR stops at the absolute tolerance, about "
+        "4.5e-13, above every loss in the tail, so the tail integral beyond "
+        "it is 0 and CTE is returned as 0.0",
+    )
+    def test_min_cte_at_large_rates(self):
+        e = ExponentialMarginal(1e30)
+        p = BivariatePortfolio(e, e, FgmCopula(0.0))
+        # min of two independent Exp(1e30) is Exp(2e30): CTE = VaR + mean
+        expected = math.log(10.0) / 2e30 + 1.0 / 2e30
+        assert extreme_cte(p, "min", 0.9) == pytest.approx(
+            expected, rel=1e-10, abs=0.0
+        )
+
     def test_published_cells(self):
         assert extreme_cte(exp_portfolio(0.1), "max", 0.9) == pytest.approx(
             7.369, abs=2e-2

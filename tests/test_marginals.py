@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
@@ -122,6 +123,34 @@ class TestVar:
     def test_accepts_alpha_object(self):
         assert var(EXP1, Alpha(0.9)) == var(EXP1, 0.9)
 
+    @pytest.mark.parametrize("m", [EXP1, PAR1, ParetoMarginal(1e-3, 45.0)])
+    @pytest.mark.parametrize(
+        "alpha", [1e-300, 1e-12, 0.3, 0.5, 0.9, 0.99, 1 - 1e-12]
+    )
+    def test_agrees_with_the_array_quantile(self, m, alpha):
+        # var and mot compute in math, quantile in numpy: same formulas,
+        # each within an ulp or so of the correctly rounded value
+        assert var(m, alpha) == pytest.approx(quantile(m, alpha), rel=5e-16)
+        assert mot(m, alpha) == pytest.approx(
+            quantile(m, 0.5 * (1.0 + alpha)), rel=5e-16
+        )
+
+    def test_overflow_is_inf(self):
+        # (1e-6)^(-100) leaves the float range: float ** raises
+        # OverflowError there, where numpy's power gave inf
+        m = ParetoMarginal(1.0, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert var(m, 0.999999) == math.inf
+            assert mot(m, 0.999999) == math.inf
+
+    def test_level_rounding_to_one_is_a_domain_error(self):
+        # (1 + alpha)/2 rounds to 1 for the largest alpha below 1
+        alpha = math.nextafter(1.0, 0.0)
+        for m in (EXP1, PAR1):
+            with pytest.raises(DomainError):
+                mot(m, alpha)
+
 
 class TestCte:
     def test_published_values(self):
@@ -190,6 +219,14 @@ class TestQuantile:
             quantile(EXP1, -0.1)
         assert quantile(EXP1, 0.0) == 0.0
         assert quantile(PAR1, 0.0) == PAR1.x0
+
+    @pytest.mark.parametrize("m", [EXP1, PAR1])
+    def test_nan_level_rejected(self, m):
+        # a check written as "below 0 or at least 1" returned nan silently
+        with pytest.raises(DomainError):
+            quantile(m, float("nan"))
+        with pytest.raises(DomainError):
+            quantile(m, np.array([0.5, float("nan")]))
 
 
 class TestRiskReport:

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from copula_risk.copula import FgmCopula, rectangle_mass
+from copula_risk.copula import FgmCopula, conditional_quantile, rectangle_mass
 from copula_risk.errors import DomainError, LowTailCount
 from copula_risk.extremes import BivariatePortfolio, extreme_var
 from copula_risk.marginals import (
     ExponentialMarginal,
     ParetoMarginal,
     cdf as marginal_cdf,
+    quantile,
 )
 from copula_risk.mc_oracle import (
+    _BLOCK,
     EstimateWithError,
     SampleBatch,
     empirical_cte,
@@ -59,6 +61,43 @@ class TestSampling:
         batch = sample_pairs(exp_portfolio(0.0), 100, seed=1)
         with pytest.raises(ValueError):
             batch.pairs[0, 0] = -1.0
+
+    @pytest.mark.parametrize(
+        "n", [1, 1000, _BLOCK, _BLOCK + 3, 3 * _BLOCK - 5]
+    )
+    @pytest.mark.parametrize(
+        "portfolio", [exp_portfolio(-1.0), pareto_portfolio(0.5)]
+    )
+    def test_matches_concatenated_blocks(self, portfolio, n):
+        # the construction before blocks were written in place: whole
+        # blocks, concatenated per column, cut to n, then column-stacked
+        root = np.random.SeedSequence(entropy=17, spawn_key=(3,))
+        x1_parts, x2_parts = [], []
+        for child in root.spawn(-(-n // _BLOCK)):
+            rng = np.random.default_rng(child)
+            u = rng.random(_BLOCK)
+            w = rng.random(_BLOCK)
+            v = np.minimum(
+                conditional_quantile(portfolio.copula, w, u),
+                np.nextafter(1.0, 0.0),
+            )
+            x1_parts.append(quantile(portfolio.m1, u))
+            x2_parts.append(quantile(portfolio.m2, v))
+        old = np.column_stack(
+            (np.concatenate(x1_parts)[:n], np.concatenate(x2_parts)[:n])
+        )
+        batch = sample_pairs(portfolio, n, seed=17, stream=3)
+        assert batch.pairs.shape == (n, 2)
+        assert batch.pairs.tobytes() == old.tobytes()
+
+    def test_columns_contiguous_and_read_only(self):
+        batch = sample_pairs(exp_portfolio(0.5), _BLOCK + 3, seed=4)
+        assert batch.x1.flags.c_contiguous and batch.x2.flags.c_contiguous
+        assert not batch.pairs.flags.writeable
+        for column in (batch.x1, batch.x2):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column.sort()
 
     def test_supports(self):
         b = sample_pairs(pareto_portfolio(0.9), 50_000, seed=2)
