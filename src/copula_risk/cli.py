@@ -139,11 +139,15 @@ def cmd_measure(args) -> int:
 
 def cmd_table(args) -> int:
     settings = SolverSettings(abs_tol=args.tol)
-    grid = (
-        tuple(float(t) for t in args.theta_grid.split(","))
-        if args.theta_grid
-        else DEFAULT_THETA_GRID
-    )
+    grid = DEFAULT_THETA_GRID
+    if args.theta_grid:
+        try:
+            grid = tuple(float(t) for t in args.theta_grid.split(","))
+        except ValueError:
+            raise DomainError(
+                "--theta-grid must be comma-separated numbers, "
+                f"got {args.theta_grid!r}"
+            ) from None
     spec = TableSpec(
         table_id=args.table_id,
         theta_grid=grid,
@@ -189,29 +193,42 @@ def _first_read(n: int, alphas) -> int:
     return first
 
 
-def _tail_sorted(sample, first: int):
+def _tail_sorted(sample, first: int, out):
     """The sample with its order statistics from `first` up in place.
 
     Everything below index `first` is at most the value there, in no
     particular order, and everything from there up is sorted: each index
     an estimator reads holds what a full sort puts there, and the values
     above any order statistic at or past `first` come in the same order.
+    A read-only sample (x1 or x2, a view into the batch) is first copied
+    into out, an array of its size.
     """
-    xs = sample if sample.flags.writeable else sample.copy()
-    xs.partition(first)
-    xs[first:].sort()
-    return xs
+    if not sample.flags.writeable:
+        out[...] = sample
+        sample = out
+    sample.partition(first)
+    sample[first:].sort()
+    return sample
 
 
 def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
                   stream_base=0):
+    import numpy as np
+
+    if mc_n < 1:
+        raise DomainError(f"mc_n must be >= 1, got {mc_n}")
     records = []
     first = _first_read(mc_n, alphas)
+    # every target's scalar sample is written into this one array, so a
+    # sample lives only until the next target's replaces it
+    buf = np.empty(mc_n)
     for stream, theta in enumerate(thetas, start=stream_base):
         portfolio = build_portfolio(family, theta)
+        # drop the last theta's pairs before drawing this theta's
+        batch = None
         batch = sample_pairs(portfolio, mc_n, seed, stream=stream)
         for target in targets:
-            xs = _tail_sorted(scalar_sample(batch, target), first)
+            xs = _tail_sorted(scalar_sample(batch, target, buf), first, buf)
             for alpha in alphas:
                 a = level_of(alpha)
                 for measure in VERIFY_MEASURES:

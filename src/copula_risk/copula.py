@@ -3,7 +3,10 @@
 C(u, v) = uv + theta * uv(1-u)(1-v) for theta in [-1, 1]. Outside that
 range the density goes negative, so theta is validated once at
 construction. All functions accept scalars or numpy arrays; numpy is
-imported on the first call, not with the module.
+imported on the first call, not with the module. The sampler calls the
+conditional-quantile kernel `_conditional_quantile_into` directly, on
+preallocated buffers; `conditional_quantile` is its allocating, checking
+wrapper.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ def _unit(name: str, x):
     import numpy as np
 
     xs = np.asarray(x, dtype=float)
-    # written so that NaN fails the check too
-    if np.any(~((xs >= 0.0) & (xs <= 1.0))):
+    # min and max propagate NaN, so NaN fails the check too
+    if xs.size and not (xs.min() >= 0.0 and xs.max() <= 1.0):
         raise DomainError(f"{name} must lie in [0, 1]")
     return xs
 
@@ -77,12 +80,45 @@ def conditional_quantile(c: FgmCopula, w, given_u):
     import numpy as np
 
     ws, us = _unit("w", w), _unit("given_u", given_u)
-    a = c.theta * (1.0 - 2.0 * us)
-    disc = (1.0 + a) ** 2 - 4.0 * a * ws
-    denom = (1.0 + a) + np.sqrt(np.maximum(disc, 0.0))
-    # denom vanishes only at a = -1, w = 0, where the quantile is 0
-    out = np.where(denom > 0.0, 2.0 * ws / np.where(denom > 0.0, denom, 1.0), 0.0)
-    return _ret(np.clip(out, 0.0, 1.0))
+    shape = np.broadcast_shapes(ws.shape, us.shape)
+    out = np.empty(shape)
+    _conditional_quantile_into(
+        c.theta, ws, us, out, np.empty(shape), np.empty(shape), 1.0
+    )
+    return _ret(out)
+
+
+def _conditional_quantile_into(theta: float, w, u, out, s, t, cap: float):
+    """conditional_quantile's formula written into out, capped at cap <= 1.
+
+    w and u must lie in [0, 1]; nothing is checked. s and t are scratch
+    arrays of out's shape. Every step is one ufunc pass in place, in the
+    order of the formula, so the bits do not depend on the buffers used.
+    """
+    import numpy as np
+
+    np.multiply(u, 2.0, out=s)
+    np.subtract(1.0, s, out=s)
+    np.multiply(s, theta, out=s)  # a
+    np.multiply(s, 4.0, out=t)
+    np.multiply(t, w, out=t)  # 4aw
+    np.add(s, 1.0, out=s)  # 1 + a
+    np.multiply(s, s, out=out)
+    np.subtract(out, t, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    np.add(s, out, out=out)
+    # the denominator is 0 only at a = -1, w = 0, and otherwise at least
+    # about 4e-162, so raising it to the least subnormal makes that cell's
+    # quotient 0 and no other (an fmax of the quotient with 0 would too,
+    # but at w = -0 its result's sign depends on the element's SIMD lane);
+    # the quotient is never negative, so capping it is all that is left of
+    # clipping to [0, 1]
+    np.maximum(out, 5e-324, out=out)
+    np.multiply(w, 2.0, out=t)
+    np.divide(t, out, out=out)
+    np.minimum(out, cap, out=out)
+    return out
 
 
 def rectangle_mass(c: FgmCopula, u1, u2, v1, v2):

@@ -4,7 +4,9 @@ All single-risk measures (VaR, CTE, MoT) have exact closed forms for the
 two families in scope, so nothing here touches the root solver. The scalar
 measures (`var`, `cte`, `mot`, `report`) compute in `math`; the array
 helpers (`cdf`, `pdf`, `quantile`) accept scalars or numpy arrays for
-sampling and import numpy on their first call, not with the module.
+sampling and import numpy on their first call, not with the module. The
+sampler calls the quantile kernel `_quantile_into` directly, in place;
+`quantile` is its allocating, checking wrapper.
 """
 
 from __future__ import annotations
@@ -143,14 +145,32 @@ def quantile(m: Marginal, p):
     import numpy as np
 
     ps = np.asarray(p, dtype=float)
-    # written so that NaN fails the check too
-    if np.any(~((ps >= 0.0) & (ps < 1.0))):
+    # min and max propagate NaN, so NaN fails the check too
+    if ps.size and not (ps.min() >= 0.0 and ps.max() < 1.0):
         raise DomainError("quantile level must lie in [0, 1)")
-    if _dispatch(m) == "exp":
-        out = -np.log1p(-ps) / m.rate
-    else:
-        out = m.x0 * (1.0 - ps) ** (-1.0 / m.gamma)
+    out = _quantile_into(m, ps, np.empty(ps.shape))
     return out if out.ndim else float(out)
+
+
+def _quantile_into(m: Marginal, p, out):
+    """quantile's formula written into out, which may be p itself.
+
+    p must lie in [0, 1); nothing is checked.
+    """
+    import numpy as np
+
+    if _dispatch(m) == "exp":
+        # -log1p(-p) / rate, with the sign moved onto the divisor
+        np.negative(p, out=out)
+        np.log1p(out, out=out)
+        np.divide(out, -m.rate, out=out)
+    else:
+        # x0 * (1 - p) ** (-1/gamma); **= takes numpy's scalar-power path
+        # as ** does
+        np.subtract(1.0, p, out=out)
+        out **= -1.0 / m.gamma
+        np.multiply(out, m.x0, out=out)
+    return out
 
 
 def _level_quantile(m: Marginal, a: float) -> float:

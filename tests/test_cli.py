@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from copula_risk.aggregate import aggregate_report
 from copula_risk.cli import main
 from copula_risk.extremes import extreme_report
 from copula_risk.marginals import report
+from copula_risk.mc_oracle import _BLOCK
 from copula_risk.numerics import DEFAULT_SETTINGS
 from copula_risk.tables import (
     TableSpec,
@@ -192,6 +194,13 @@ class TestTable:
         assert [float(r["theta"]) for r in rows] == [0.2, 0.6]
         assert all(r["paper_value"] == "" for r in rows)
 
+    def test_non_numeric_theta_grid_is_a_parameter_error(self, capsys):
+        rc, out, err = run_cli(capsys, "table", "1", "--theta-grid", "0.1,abc")
+        assert rc == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "DomainError"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "t1.csv"
         rc, out, _ = run_cli(capsys, "table", "1", "--out", str(target))
@@ -276,6 +285,16 @@ class TestVerify:
         assert rc == 2
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("mc_n", ["-1", "0"])
+    def test_non_positive_mc_n_is_a_parameter_error(self, capsys, mc_n):
+        rc, out, err = run_cli(capsys, "verify", "--mc-n", mc_n)
+        assert rc == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "DomainError"
+        assert error["exit_code"] == 2
+
     def test_env_seed_honored_and_overridable(self, capsys, monkeypatch):
         monkeypatch.setenv("COPULA_RISK_SEED", "99")
         _, out_env, _ = run_cli(capsys, "verify", "--mc-n", "20000",
@@ -311,11 +330,65 @@ class TestVerifyTailSort:
     def test_records_equal_full_sort(self, monkeypatch, seed, mc_n):
         records = self.grid(seed, mc_n)
         monkeypatch.setattr(
-            cli, "_tail_sorted", lambda sample, first: np.sort(sample)
+            cli, "_tail_sorted", lambda sample, first, out: np.sort(sample)
         )
         assert records == self.grid(seed, mc_n)
         if mc_n == 100:
             assert any(r["status"] == "low_tail_count" for r in records)
+
+
+class TestVerifyBuffers:
+    """`_verify_cells` writes every scalar sample into one reused array."""
+
+    @staticmethod
+    def grid(targets, mc_n):
+        return cli._verify_cells(
+            "exp", (-0.9, 0.5), cli.VERIFY_EXP_ALPHAS, targets, mc_n, 5,
+            DEFAULT_SETTINGS,
+        ) + cli._verify_cells(
+            "pareto", (0.9,), cli.VERIFY_PARETO_ALPHAS,
+            tuple(t for t in targets if t != "sum"),  # no Pareto sum
+            mc_n, 5,
+            DEFAULT_SETTINGS, stream_base=2,
+        )
+
+    @pytest.mark.parametrize("mc_n", [100, 2**16 + 3])
+    @pytest.mark.parametrize(
+        "targets", [("x1", "min", "max", "sum", "x2"),
+                    ("x2", "sum", "max", "min", "x1")],
+    )
+    def test_records_equal_fresh_samples(self, monkeypatch, targets, mc_n):
+        records = self.grid(targets, mc_n)
+        sample = cli.scalar_sample
+        monkeypatch.setattr(
+            cli, "scalar_sample",
+            lambda batch, target, out: sample(batch, target).copy(),
+        )
+        fresh = self.grid(targets, mc_n)
+        assert records == fresh
+        assert [r["target"] for r in records] == [r["target"] for r in fresh]
+
+    def test_peak_memory_is_one_batch_and_one_sample(self):
+        n = 2**18
+        thetas, alphas = (0.0, 0.5, 0.9), (0.9,)
+        # first calls fill caches and load code outside the traced run
+        cli._verify_cells("exp", thetas, alphas, ("min",), 1000, 3,
+                          DEFAULT_SETTINGS)
+        tracemalloc.start()
+        try:
+            cli._verify_cells("exp", thetas, alphas, ("x1", "min", "sum"), n,
+                              3, DEFAULT_SETTINGS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # numpy reports its data buffers to tracemalloc. Live at once, at
+        # most: one theta's (n, 2) pairs, one scalar sample of n floats and
+        # the sampler's workspace of four blocks, plus 1 MiB for everything
+        # else (records, reports, array headers). Keeping the last theta's
+        # pairs while drawing the next, or a fresh sample per target
+        # alongside the one it replaces, would exceed it by 1 MiB or more.
+        bound = 8 * (2 * n + n + 4 * _BLOCK) + 2**20
+        assert peak <= bound, (peak, bound)
 
 
 def test_cold_start_without_numpy():

@@ -184,6 +184,47 @@ class TestConditionalQuantile:
         assert conditional_quantile(c, 0.49, 0.0) == pytest.approx(0.7, rel=1e-12)
 
 
+def _conditional_quantile_formula(theta, w, u):
+    # the formula as it was written before it became an in-place kernel
+    ws, us = np.asarray(w, dtype=float), np.asarray(u, dtype=float)
+    a = theta * (1.0 - 2.0 * us)
+    disc = (1.0 + a) ** 2 - 4.0 * a * ws
+    denom = (1.0 + a) + np.sqrt(np.maximum(disc, 0.0))
+    out = np.where(denom > 0.0, 2.0 * ws / np.where(denom > 0.0, denom, 1.0), 0.0)
+    return np.clip(out, 0.0, 1.0)
+
+
+class TestConditionalQuantileKernel:
+    """The in-place kernel gives the bits of the formula it replaced."""
+
+    @pytest.mark.parametrize("theta", [-1.0, 1.0])
+    def test_corners_bytewise(self, theta):
+        # includes a = -1, w = 0, where the denominator vanishes
+        u, w = np.meshgrid([0.0, 0.5, 1.0], [0.0, 1.0])
+        got = conditional_quantile(FgmCopula(theta), w, u)
+        want = _conditional_quantile_formula(theta, w, u)
+        assert got.tobytes() == want.tobytes()
+        for ui, wi in zip(u.ravel(), w.ravel()):
+            one = conditional_quantile(FgmCopula(theta), wi, ui)
+            assert np.float64(one).tobytes() == np.float64(
+                _conditional_quantile_formula(theta, wi, ui)
+            ).tobytes()
+
+    @pytest.mark.parametrize("theta", THETA_GRID)
+    def test_random_and_broadcast_bytewise(self, theta):
+        rng = np.random.default_rng(8)
+        u, w = rng.random(10_001), rng.random(10_001)
+        for args in ((w, u), (w[::3], u[::3]), (w[:7, None], u[None, :5]),
+                     (0.3, u), (w, 0.0)):
+            got = conditional_quantile(FgmCopula(theta), *args)
+            want = _conditional_quantile_formula(theta, *args)
+            assert got.tobytes() == want.tobytes()
+
+    def test_empty_passes_the_range_check(self):
+        got = conditional_quantile(FgmCopula(0.5), np.array([]), np.array([]))
+        assert got.shape == (0,)
+
+
 class TestRectangleMass:
     def test_full_square(self):
         for theta in THETA_GRID:

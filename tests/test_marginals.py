@@ -229,6 +229,42 @@ class TestQuantile:
             quantile(m, np.array([0.5, float("nan")]))
 
 
+def _quantile_formula(m, p):
+    # the formula as it was written before it became an in-place kernel
+    ps = np.asarray(p, dtype=float)
+    if isinstance(m, ExponentialMarginal):
+        return -np.log1p(-ps) / m.rate
+    return m.x0 * (1.0 - ps) ** (-1.0 / m.gamma)
+
+
+class TestQuantileKernel:
+    """The in-place kernel gives the bits of the formula it replaced."""
+
+    LEVELS = np.random.default_rng(3).random(10_003)
+
+    @pytest.mark.parametrize(
+        "m", [EXP1, PAR1, ParetoMarginal(2.0, 1.0), ParetoMarginal(1e-3, 2.0)]
+    )
+    @pytest.mark.parametrize(
+        "p",
+        [
+            np.float64(0.9),  # 0-d
+            np.array(0.0),
+            np.array([]),
+            LEVELS,
+            LEVELS[::3],  # strided
+            np.column_stack((LEVELS, LEVELS))[:, 1],  # strided column
+            LEVELS.reshape(7, -1)[:, ::2]  # 2-d, strided,
+        ],
+    )
+    def test_bytewise(self, m, p):
+        got = np.asarray(quantile(m, p), dtype=float)
+        want = np.asarray(_quantile_formula(m, p))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert isinstance(quantile(m, p), float) == (np.ndim(p) == 0)
+
+
 class TestRiskReport:
     def test_report_fields(self):
         r = report(EXP1, 0.9)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from copula_risk import cli
 from copula_risk.copula import FgmCopula, conditional_quantile, rectangle_mass
 from copula_risk.errors import DomainError, LowTailCount
 from copula_risk.extremes import BivariatePortfolio, extreme_var
@@ -14,6 +15,7 @@ from copula_risk.marginals import (
 )
 from copula_risk.mc_oracle import (
     _BLOCK,
+    _tail_mean_estimate,
     EstimateWithError,
     SampleBatch,
     empirical_cte,
@@ -246,6 +248,64 @@ class TestEmpiricalEstimators:
         assert abs(z.mean()) < 0.6
         assert 0.6 < z.std(ddof=1) < 1.5
         assert max(abs(z)) < 4.0
+
+
+def _masked_tail_mean(xs, level, min_tail):
+    # the estimator as it was written before it selected the tail with a
+    # searchsorted: a boolean mask over the whole sample
+    n = xs.size
+    r = min(max(math.ceil(level * n), 1), n)
+    qhat = float(xs[r - 1])
+    tail = xs[xs > qhat]
+    if tail.size < min_tail:
+        raise LowTailCount(f"{tail.size} < {min_tail}")
+    point = float(tail.mean())
+    var_hat = float(tail.var(ddof=1)) + level * (point - qhat) ** 2
+    return EstimateWithError(point, math.sqrt(var_hat / tail.size), n)
+
+
+class TestTailMeanSelection:
+    """The searchsorted tail is the masked tail, on tail-sorted samples."""
+
+    @staticmethod
+    def tied_sample(above, seed):
+        # integers: 100 copies of 10 straddle the 900th order statistic of
+        # 1000, with `above` values in 11..15 and the rest in 0..9
+        rng = np.random.default_rng(seed)
+        xs = np.concatenate((
+            rng.integers(0, 10, 1000 - 100 - above),
+            np.full(100, 10),
+            rng.integers(11, 16, above),
+        )).astype(float)
+        rng.shuffle(xs)
+        return cli._tail_sorted(xs, cli._first_read(1000, (0.9,)), None)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exactly_min_tail_exceedances(self, seed):
+        xs = self.tied_sample(30, seed)
+        est = _tail_mean_estimate(xs, 0.9, 30)
+        assert xs[899] == 10.0
+        assert est == _masked_tail_mean(xs, 0.9, 30)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_short_of_min_tail_raises(self, seed):
+        xs = self.tied_sample(29, seed)
+        with pytest.raises(LowTailCount):
+            _masked_tail_mean(xs, 0.9, 30)
+        with pytest.raises(LowTailCount, match="only 29 exceedances"):
+            _tail_mean_estimate(xs, 0.9, 30)
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.999])
+    def test_continuous_sample_bytewise(self, level):
+        batch = sample_pairs(exp_portfolio(0.5), 200_003, seed=71)
+        xs = cli._tail_sorted(
+            scalar_sample(batch, "sum"),
+            cli._first_read(batch.n, (level,)),
+            None,
+        )
+        assert _tail_mean_estimate(xs, level, 30) == _masked_tail_mean(
+            xs, level, 30
+        )
 
 
 def test_sample_batch_validation():
