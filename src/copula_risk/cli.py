@@ -88,7 +88,12 @@ def _emit(records: list[dict], fields: tuple, args) -> None:
     if args.out in (None, "-"):
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise DomainError(
+                f"cannot write --out {args.out!r}: {exc.strerror or exc}"
+            ) from None
 
 
 def _resolve_seed(arg_seed) -> int:
@@ -296,7 +301,7 @@ def _add_output_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output file (default: stdout)")
     p.add_argument("--tol", type=float, default=DEFAULT_SETTINGS.abs_tol,
-                   help="solver tolerance on the x axis (default 1e-12)")
+                   help="solver tolerance on the x axis (default %(default)g)")
 
 
 def _add_portfolio_opts(p: argparse.ArgumentParser) -> None:

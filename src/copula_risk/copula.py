@@ -4,8 +4,10 @@ C(u, v) = uv + theta * uv(1-u)(1-v) for theta in [-1, 1]. Outside that
 range the density goes negative, so theta is validated once at
 construction. All functions accept scalars or numpy arrays; numpy is
 imported on the first call, not with the module. The sampler calls the
-conditional-quantile kernel `_conditional_quantile_into` directly, on
-preallocated buffers; `conditional_quantile` is its allocating, checking
+conditional-quantile kernel `_conditional_quantile_into(theta, u, wv, s,
+t, cap)` directly: it reads u, turns the w in wv into v in place and
+needs only the two scratch arrays s and t, so a block is transformed
+where it was drawn. `conditional_quantile` is its allocating, checking
 wrapper.
 """
 
@@ -82,18 +84,23 @@ def conditional_quantile(c: FgmCopula, w, given_u):
     ws, us = _unit("w", w), _unit("given_u", given_u)
     shape = np.broadcast_shapes(ws.shape, us.shape)
     out = np.empty(shape)
+    out[...] = ws
     _conditional_quantile_into(
-        c.theta, ws, us, out, np.empty(shape), np.empty(shape), 1.0
+        c.theta, us, out, np.empty(shape), np.empty(shape), 1.0
     )
     return _ret(out)
 
 
-def _conditional_quantile_into(theta: float, w, u, out, s, t, cap: float):
-    """conditional_quantile's formula written into out, capped at cap <= 1.
+def _conditional_quantile_into(theta: float, u, wv, s, t, cap: float):
+    """conditional_quantile's formula, overwriting w in wv with v <= cap.
 
-    w and u must lie in [0, 1]; nothing is checked. s and t are scratch
-    arrays of out's shape. Every step is one ufunc pass in place, in the
-    order of the formula, so the bits do not depend on the buffers used.
+    wv holds w on entry and v on return; cap <= 1. u and w must lie in
+    [0, 1]; nothing is checked. s and t are scratch arrays of wv's shape,
+    and u may broadcast against it. Every step is one ufunc pass in place,
+    in the order of the formula, so the bits do not depend on the buffers
+    used. With only two scratch arrays, a and 1 + a are computed twice,
+    by the same steps: once for the discriminant, once for the
+    denominator.
     """
     import numpy as np
 
@@ -101,24 +108,28 @@ def _conditional_quantile_into(theta: float, w, u, out, s, t, cap: float):
     np.subtract(1.0, s, out=s)
     np.multiply(s, theta, out=s)  # a
     np.multiply(s, 4.0, out=t)
-    np.multiply(t, w, out=t)  # 4aw
+    np.multiply(t, wv, out=t)  # 4aw
     np.add(s, 1.0, out=s)  # 1 + a
-    np.multiply(s, s, out=out)
-    np.subtract(out, t, out=out)
-    np.maximum(out, 0.0, out=out)
-    np.sqrt(out, out=out)
-    np.add(s, out, out=out)
+    np.multiply(s, s, out=s)
+    np.subtract(s, t, out=s)
+    np.maximum(s, 0.0, out=s)
+    np.sqrt(s, out=s)
+    np.multiply(u, 2.0, out=t)
+    np.subtract(1.0, t, out=t)
+    np.multiply(t, theta, out=t)
+    np.add(t, 1.0, out=t)  # 1 + a again
+    np.add(t, s, out=s)
     # the denominator is 0 only at a = -1, w = 0, and otherwise at least
     # about 4e-162, so raising it to the least subnormal makes that cell's
     # quotient 0 and no other (an fmax of the quotient with 0 would too,
     # but at w = -0 its result's sign depends on the element's SIMD lane);
     # the quotient is never negative, so capping it is all that is left of
     # clipping to [0, 1]
-    np.maximum(out, 5e-324, out=out)
-    np.multiply(w, 2.0, out=t)
-    np.divide(t, out, out=out)
-    np.minimum(out, cap, out=out)
-    return out
+    np.maximum(s, 5e-324, out=s)
+    np.multiply(wv, 2.0, out=wv)
+    np.divide(wv, s, out=wv)
+    np.minimum(wv, cap, out=wv)
+    return wv
 
 
 def rectangle_mass(c: FgmCopula, u1, u2, v1, v2):

@@ -4,14 +4,22 @@ Sampling uses the conditional-distribution method: draw (u, w) uniform,
 invert the conditional copula CDF to get v, and map (u, v) through the
 marginal quantile functions. Pairs are generated in fixed-size blocks,
 each block from its own substream spawned from (seed, stream, block
-index), so a batch is reproducible bit for bit, any prefix of a longer
-batch matches a shorter one, and blocks can be farmed out to workers
-without changing the merged result. Each block is written in place, in
-index order, into one preallocated column-major (n, 2) array, so both
-columns are contiguous and nothing is concatenated. A block draws into
-and computes in a workspace of four block-sized arrays allocated once
-per batch: the copula and marginal kernels run as in-place ufuncs, so
-sampling allocates nothing per block.
+index), so a batch is reproducible bit for bit and any prefix of a
+longer batch matches a shorter one. The blocks of a batch are split
+among at most two threads, the caller and one started for the batch
+(numpy releases the GIL in the draws and in the ufunc loops). Each
+takes the next block from a shared queue, so a thread on a slower CPU
+takes fewer; since no block's bits depend on which thread runs it or
+when, the result equals a serial run. Each block is written in place,
+at its own rows, into one preallocated column-major (n, 2) array, so
+both columns are contiguous and nothing is concatenated. A full block
+draws u straight into its stretch of the x1 column and w into its
+stretch of x2; the copula kernel then turns w into v in place and the
+marginal kernels map both columns in place. Each thread has a workspace
+of two block-sized arrays, the copula kernel's scratch, into which the
+last, partial block also draws before copying what it keeps. So
+sampling allocates nothing per block, and a batch's workspace is four
+blocks at most.
 
 numpy is imported on first use, where a batch is sampled or estimated:
 importing this module (and so the package and its CLI) does not load it.
@@ -20,6 +28,8 @@ importing this module (and so the package and its CLI) does not load it.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,6 +49,9 @@ if TYPE_CHECKING:
 
 _BLOCK = 1 << 16
 _V_CAP = math.nextafter(1.0, 0.0)
+# at most this many threads, the caller's included, sample one batch; each
+# holds two blocks of workspace, which the memory bound of `verify` counts
+_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -82,33 +95,77 @@ def sample_pairs(
 
     Batches with different stream indices are independent substreams of the
     same seed, for decorrelating several portfolios or parallel workers.
+    The seed and stream must be nonnegative integers.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    seed, stream = int(seed), int(stream)
+    if seed < 0 or stream < 0:
+        raise DomainError(
+            f"seed and stream must be >= 0, got seed={seed}, stream={stream}"
+        )
     import numpy as np
 
-    seed = int(seed)
     pairs = np.empty((n, 2), order="F")
-    # u, w and the kernel's two scratch arrays, reused by every block
-    u, w, s, t = np.empty((4, _BLOCK))
+    blocks = -(-n // _BLOCK)
+    root = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    # workers take blocks off this queue until it is empty, so a worker on
+    # a slower CPU takes fewer; deque pops are thread-safe
+    jobs = deque(zip(range(0, n, _BLOCK), root.spawn(blocks)))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    workers = min(_WORKERS, cpus, blocks)
+    if workers == 1:
+        _sample_blocks(portfolio, pairs, jobs)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # the calling thread samples too, beside workers - 1 pool threads
+        with ThreadPoolExecutor(workers - 1) as pool:
+            done = [
+                pool.submit(_sample_blocks, portfolio, pairs, jobs)
+                for _ in range(workers - 1)
+            ]
+            _sample_blocks(portfolio, pairs, jobs)
+            for future in done:
+                future.result()
+    pairs.setflags(write=False)
+    return SampleBatch(pairs=pairs, seed=seed, n=n)
+
+
+def _sample_blocks(portfolio: BivariatePortfolio, pairs, jobs: deque) -> None:
+    """Pop (start, SeedSequence) jobs and write their blocks into pairs."""
+    import numpy as np
+
+    n = pairs.shape[0]
     theta = portfolio.copula.theta
-    root = np.random.SeedSequence(entropy=seed, spawn_key=(int(stream),))
-    for start, child in zip(range(0, n, _BLOCK), root.spawn(-(-n // _BLOCK))):
+    # the copula kernel's scratch, reused by every block of this worker
+    s, t = np.empty((2, _BLOCK))
+    while True:
+        try:
+            start, child = jobs.popleft()
+        except IndexError:  # every block is taken
+            return
         rng = np.random.default_rng(child)
-        # every block draws a full _BLOCK of u then of w, so its values do
-        # not depend on n; only the pairs the batch keeps are transformed
-        rng.random(_BLOCK, out=u)
-        rng.random(_BLOCK, out=w)
         take = min(_BLOCK, n - start)
         x1 = pairs[start:start + take, 0]
         x2 = pairs[start:start + take, 1]
-        _conditional_quantile_into(
-            theta, w[:take], u[:take], x2, s[:take], t[:take], _V_CAP
-        )
-        _quantile_into(portfolio.m1, u[:take], x1)
+        # every block draws a full _BLOCK of u then of w, so its values do
+        # not depend on n; a partial block draws into the scratch and keeps
+        # the head
+        if take == _BLOCK:
+            rng.random(_BLOCK, out=x1)
+            rng.random(_BLOCK, out=x2)
+        else:
+            rng.random(_BLOCK, out=s)
+            rng.random(_BLOCK, out=t)
+            x1[...] = s[:take]
+            x2[...] = t[:take]
+        _conditional_quantile_into(theta, x1, x2, s[:take], t[:take], _V_CAP)
+        _quantile_into(portfolio.m1, x1, x1)
         _quantile_into(portfolio.m2, x2, x2)
-    pairs.setflags(write=False)
-    return SampleBatch(pairs=pairs, seed=seed, n=n)
 
 
 def scalar_sample(batch: SampleBatch, target: str, out=None) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -35,6 +36,17 @@ def run_cli(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def assert_one_error_record(capsys, needle, *argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "DomainError"
+    assert error["exit_code"] == 2
+    assert needle in error["message"]
 
 
 class TestMeasure:
@@ -207,6 +219,12 @@ class TestTable:
         assert rc == 0 and out == ""
         assert target.read_text().startswith("table_id,theta")
 
+    def test_unwritable_out_is_a_parameter_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "t1.csv"
+        assert_one_error_record(
+            capsys, str(target), "table", "1", "--out", str(target)
+        )
+
     def test_garbage_env_seed_is_ignored(self, capsys, monkeypatch):
         # tables never sample, so COPULA_RISK_SEED is not read
         clean = run_cli(capsys, "table", "1")
@@ -294,6 +312,27 @@ class TestVerify:
         error = json.loads(lines[0])["error"]
         assert error["type"] == "DomainError"
         assert error["exit_code"] == 2
+
+    def test_negative_seed_flag_is_a_parameter_error(self, capsys):
+        assert_one_error_record(
+            capsys, "seed=-3", "verify", "--mc-n", "100", "--seed", "-3"
+        )
+
+    def test_negative_env_seed_is_a_parameter_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COPULA_RISK_SEED", "-3")
+        assert_one_error_record(capsys, "seed=-3", "verify", "--mc-n", "100")
+
+    def test_unwritable_out_is_a_parameter_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "v.csv"
+        assert_one_error_record(
+            capsys, str(target), "verify", "--mc-n", "100", "--out", str(target)
+        )
+
+    def test_sampling_threads_end_with_the_run(self, capsys):
+        # 200,000 pairs are four blocks, sampled by worker threads
+        baseline = threading.active_count()
+        run_cli(capsys, "verify", "--mc-n", "200000")
+        assert threading.active_count() == baseline
 
     def test_env_seed_honored_and_overridable(self, capsys, monkeypatch):
         monkeypatch.setenv("COPULA_RISK_SEED", "99")
@@ -392,7 +431,8 @@ class TestVerifyBuffers:
 
 
 def test_cold_start_without_numpy():
-    """The package, its CLI and the analytic subcommands never load numpy."""
+    """The package, its CLI and the analytic subcommands never load numpy,
+    nor the thread pool that sampling starts."""
     script = """
 import contextlib, io, sys
 import copula_risk, copula_risk.cli
@@ -410,6 +450,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     for argv in runs:
         assert copula_risk.cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules, "after the subcommands"
+assert "concurrent.futures" not in sys.modules, "after the subcommands"
 """
     src = str(Path(copula_risk.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -1,9 +1,12 @@
+import concurrent.futures
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from copula_risk import cli
+from copula_risk import cli, mc_oracle
 from copula_risk.copula import FgmCopula, conditional_quantile, rectangle_mass
 from copula_risk.errors import DomainError, LowTailCount
 from copula_risk.extremes import BivariatePortfolio, extreme_var
@@ -35,6 +38,26 @@ def exp_portfolio(theta):
 def pareto_portfolio(theta):
     return BivariatePortfolio(
         ParetoMarginal(1.0, 3.0), ParetoMarginal(1.0, 4.0), FgmCopula(theta)
+    )
+
+
+def concatenated_blocks(portfolio, n, seed, stream):
+    # the construction before blocks were written in place, one at a time:
+    # whole blocks, concatenated per column, cut to n, then column-stacked
+    root = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    x1_parts, x2_parts = [], []
+    for child in root.spawn(-(-n // _BLOCK)):
+        rng = np.random.default_rng(child)
+        u = rng.random(_BLOCK)
+        w = rng.random(_BLOCK)
+        v = np.minimum(
+            conditional_quantile(portfolio.copula, w, u),
+            np.nextafter(1.0, 0.0),
+        )
+        x1_parts.append(quantile(portfolio.m1, u))
+        x2_parts.append(quantile(portfolio.m2, v))
+    return np.column_stack(
+        (np.concatenate(x1_parts)[:n], np.concatenate(x2_parts)[:n])
     )
 
 
@@ -71,26 +94,11 @@ class TestSampling:
         "portfolio", [exp_portfolio(-1.0), pareto_portfolio(0.5)]
     )
     def test_matches_concatenated_blocks(self, portfolio, n):
-        # the construction before blocks were written in place: whole
-        # blocks, concatenated per column, cut to n, then column-stacked
-        root = np.random.SeedSequence(entropy=17, spawn_key=(3,))
-        x1_parts, x2_parts = [], []
-        for child in root.spawn(-(-n // _BLOCK)):
-            rng = np.random.default_rng(child)
-            u = rng.random(_BLOCK)
-            w = rng.random(_BLOCK)
-            v = np.minimum(
-                conditional_quantile(portfolio.copula, w, u),
-                np.nextafter(1.0, 0.0),
-            )
-            x1_parts.append(quantile(portfolio.m1, u))
-            x2_parts.append(quantile(portfolio.m2, v))
-        old = np.column_stack(
-            (np.concatenate(x1_parts)[:n], np.concatenate(x2_parts)[:n])
-        )
         batch = sample_pairs(portfolio, n, seed=17, stream=3)
         assert batch.pairs.shape == (n, 2)
-        assert batch.pairs.tobytes() == old.tobytes()
+        assert batch.pairs.tobytes() == concatenated_blocks(
+            portfolio, n, seed=17, stream=3
+        ).tobytes()
 
     def test_columns_contiguous_and_read_only(self):
         batch = sample_pairs(exp_portfolio(0.5), _BLOCK + 3, seed=4)
@@ -110,6 +118,13 @@ class TestSampling:
     def test_n_validated(self):
         with pytest.raises(DomainError):
             sample_pairs(exp_portfolio(0.0), 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "seed, stream", [(-1, 0), (1, -1), (-3, -3)]
+    )
+    def test_negative_seed_or_stream_is_a_domain_error(self, seed, stream):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            sample_pairs(exp_portfolio(0.0), 3 * _BLOCK, seed, stream)
 
     def test_scalar_sample_targets(self):
         batch = sample_pairs(exp_portfolio(0.4), 1000, seed=3)
@@ -143,6 +158,123 @@ class TestSampling:
         frac = float(np.mean(mn > 2.09))
         se = math.sqrt(0.1 * 0.9 / batch.n)
         assert frac == pytest.approx(0.10, abs=3 * se + 1e-3)
+
+
+class TestParallelSampling:
+    """Blocks sampled on worker threads give the bits of a serial run."""
+
+    @staticmethod
+    def allow(monkeypatch, workers, cpus=8):
+        monkeypatch.setattr(mc_oracle, "_WORKERS", workers)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(cpus)),
+            raising=False,
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "n", [1, _BLOCK, 2 * _BLOCK + 1, 5 * _BLOCK - 7]
+    )
+    @pytest.mark.parametrize(
+        "portfolio", [exp_portfolio(-1.0), pareto_portfolio(0.5)]
+    )
+    def test_matches_concatenated_blocks(
+        self, monkeypatch, portfolio, n, workers
+    ):
+        self.allow(monkeypatch, workers)
+        batch = sample_pairs(portfolio, n, seed=23, stream=4)
+        assert batch.pairs.tobytes() == concatenated_blocks(
+            portfolio, n, seed=23, stream=4
+        ).tobytes()
+
+    @pytest.mark.parametrize(
+        "workers, cpus, n, started",
+        [  # the caller is one of the workers, so a pool starts workers - 1
+            (2, 8, 1, None),  # one block runs inline
+            (2, 8, _BLOCK, None),
+            (2, 8, _BLOCK + 1, 1),
+            (2, 8, 5 * _BLOCK, 1),
+            (2, 1, 5 * _BLOCK, None),  # one usable CPU
+            (3, 2, 5 * _BLOCK, 1),
+            (3, 8, 2 * _BLOCK, 1),  # no more workers than blocks
+            (3, 8, 5 * _BLOCK, 2),
+            (1, 8, 5 * _BLOCK, None),
+        ],
+    )
+    def test_worker_count(self, monkeypatch, workers, cpus, n, started):
+        self.allow(monkeypatch, workers, cpus)
+        pools = []
+
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+        sample_pairs(exp_portfolio(0.5), n, seed=1)
+        assert pools == ([] if started is None else [started])
+
+    def test_cpu_count_when_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        baseline = threading.active_count()
+        portfolio = exp_portfolio(0.5)
+        batch = sample_pairs(portfolio, 2 * _BLOCK + 1, seed=2)
+        assert threading.active_count() == baseline
+        assert batch.pairs.tobytes() == concatenated_blocks(
+            portfolio, 2 * _BLOCK + 1, seed=2, stream=0
+        ).tobytes()
+
+    def test_concurrent_callers_get_serial_bits(self):
+        portfolio = pareto_portfolio(0.9)
+        n = 3 * _BLOCK + 5
+        serial = {
+            seed: sample_pairs(portfolio, n, seed).pairs.tobytes()
+            for seed in (31, 32)
+        }
+        got = {}
+
+        def draw(seed):
+            got[seed] = sample_pairs(portfolio, n, seed).pairs.tobytes()
+
+        callers = [threading.Thread(target=draw, args=(s,)) for s in serial]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+        assert got == serial
+
+    def test_worker_error_propagates(self, monkeypatch):
+        self.allow(monkeypatch, 2)
+        quantile_into = mc_oracle._quantile_into
+        raised = threading.Event()
+
+        def failing(m, p, out):
+            if threading.current_thread() is runner:
+                # the caller's own blocks succeed once a worker has failed
+                raised.wait(timeout=60)
+                return quantile_into(m, p, out)
+            raised.set()
+            raise DomainError("injected")
+
+        monkeypatch.setattr(mc_oracle, "_quantile_into", failing)
+        baseline = threading.active_count()
+        outcome = []
+
+        def draw():
+            try:
+                sample_pairs(exp_portfolio(0.5), 4 * _BLOCK, seed=3)
+            except DomainError as exc:
+                outcome.append(exc)
+
+        runner = threading.Thread(target=draw)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert raised.is_set()
+        assert [str(e) for e in outcome] == ["injected"]
+        assert threading.active_count() == baseline
 
 
 class TestMarginalFidelity:
