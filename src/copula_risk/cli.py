@@ -8,6 +8,12 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
 Error records are emitted as one JSON object on stderr.
+
+`verify` samples, derives and selects each batch on the calling thread and
+at most one thread started for each stage (`mc_oracle._drain`). Those
+threads run only numpy kernels; the samplers, estimators and analytic
+solves are called through this module's names on the calling thread,
+where the benchmark's layer tracing rebinds them.
 """
 
 from __future__ import annotations
@@ -17,15 +23,17 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from pathlib import Path
 
 from .errors import CopulaRiskError, DomainError, LowTailCount
 from .marginals import level_of
 from .mc_oracle import (
+    _BLOCK,
+    _drain,
     _order_stat_estimate,
     _tail_mean_estimate,
     sample_pairs,
-    scalar_sample,
 )
 from .numerics import DEFAULT_SETTINGS, SolverSettings
 from .tables import (
@@ -198,48 +206,106 @@ def _first_read(n: int, alphas) -> int:
     return first
 
 
-def _tail_sorted(sample, first: int, out):
-    """The sample with its order statistics from `first` up in place.
+def _select_tail(xs, first: int) -> None:
+    """Put the order statistics of xs from `first` up in place.
 
-    Everything below index `first` is at most the value there, in no
-    particular order, and everything from there up is sorted: each index
-    an estimator reads holds what a full sort puts there, and the values
-    above any order statistic at or past `first` come in the same order.
-    A read-only sample (x1 or x2, a view into the batch) is first copied
-    into out, an array of its size.
+    Afterwards everything below index `first` is at most the value there,
+    in no particular order, and everything from there up is sorted: each
+    index an estimator reads holds what a full sort puts there, and the
+    values above any order statistic at or past `first` come in the same
+    order.
     """
-    if not sample.flags.writeable:
-        out[...] = sample
-        sample = out
-    sample.partition(first)
-    sample[first:].sort()
-    return sample
+    xs.partition(first)
+    xs[first:].sort()
+
+
+def _derive_targets(chunks, pairs, buf, with_sum: bool) -> None:
+    """Turn each chunk of rows of pairs into (min, max) and, with_sum,
+    write x1 + x2 into the same rows of buf.
+
+    buf doubles as the scratch that holds the min while the max is
+    written over x2; min + max is bitwise x1 + x2, as IEEE addition
+    commutes.
+    """
+    import numpy as np
+
+    for start in chunks:
+        x1 = pairs[start:start + _BLOCK, 0]
+        x2 = pairs[start:start + _BLOCK, 1]
+        c = buf[start:start + _BLOCK]
+        np.minimum(x1, x2, out=c)
+        np.maximum(x1, x2, out=x2)
+        x1[...] = c
+        if with_sum:
+            np.add(x1, x2, out=c)
+
+
+def _select_slots(slots, first: int) -> None:
+    """`_select_tail` each target sample taken off the shared queue."""
+    for xs in slots:
+        _select_tail(xs, first)
 
 
 def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
                   stream_base=0):
+    """Records of the Monte Carlo cross-check of min, max and sum targets.
+
+    Per theta, the batch from `sample_pairs` goes through three stages.
+    (1) Its rows, in 65,536-row chunks, are turned in place into the min
+    (column 0) and the max (column 1), and the sum is written into one
+    n-float buffer reused by every batch. `_verify_cells` owns the batch
+    it drew, so it re-enables writes on `batch.pairs`, an array that owns
+    its data. (2) Each target's sample is partitioned at `_first_read`
+    and its tail sorted in place, while the caller solves the analytic
+    values. (3) The caller runs the estimators and builds the records,
+    per target, alpha and measure. Stages 1 and 2 run on `mc_oracle._drain`;
+    its pool threads run only numpy kernels, so every traced name is
+    called through this module, on the calling thread.
+
+    Raises:
+        DomainError: for mc_n < 1, or a target other than min, max or sum.
+    """
     import numpy as np
 
     if mc_n < 1:
         raise DomainError(f"mc_n must be >= 1, got {mc_n}")
+    for target in targets:
+        if target not in ("min", "max", "sum"):
+            raise DomainError(
+                f"verify checks the min, max and sum, got target {target!r}"
+            )
     records = []
     first = _first_read(mc_n, alphas)
-    # every target's scalar sample is written into this one array, so a
-    # sample lives only until the next target's replaces it
+    levels = [level_of(alpha) for alpha in alphas]
+    # the sum of every batch, or the min while it is derived, is written
+    # into this one array; nothing else of n floats is allocated
     buf = np.empty(mc_n)
     for stream, theta in enumerate(thetas, start=stream_base):
         portfolio = build_portfolio(family, theta)
         # drop the last theta's pairs before drawing this theta's
-        batch = None
+        batch = samples = xs = None
         batch = sample_pairs(portfolio, mc_n, seed, stream=stream)
+        batch.pairs.setflags(write=True)
+        _drain(_derive_targets, deque(range(0, mc_n, _BLOCK)),
+               batch.pairs, buf, "sum" in targets)
+        samples = {"min": batch.x1, "max": batch.x2, "sum": buf}
+        solved = {}
+
+        def solve():
+            for target in targets:
+                for a in levels:
+                    for measure in VERIFY_MEASURES:
+                        solved[target, a, measure] = compute_measure(
+                            portfolio, target, measure, a, settings
+                        )
+
+        slots = deque(samples[t] for t in dict.fromkeys(targets))
+        _drain(_select_slots, slots, first, caller_first=solve)
         for target in targets:
-            xs = _tail_sorted(scalar_sample(batch, target, buf), first, buf)
-            for alpha in alphas:
-                a = level_of(alpha)
+            xs = samples[target]
+            for a in levels:
                 for measure in VERIFY_MEASURES:
-                    analytic = compute_measure(
-                        portfolio, target, measure, a, settings
-                    )
+                    analytic = solved[target, a, measure]
                     record = {
                         "family": family,
                         "target": target,

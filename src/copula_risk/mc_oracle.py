@@ -10,16 +10,17 @@ among at most two threads, the caller and one started for the batch
 (numpy releases the GIL in the draws and in the ufunc loops). Each
 takes the next block from a shared queue, so a thread on a slower CPU
 takes fewer; since no block's bits depend on which thread runs it or
-when, the result equals a serial run. Each block is written in place,
-at its own rows, into one preallocated column-major (n, 2) array, so
-both columns are contiguous and nothing is concatenated. A full block
-draws u straight into its stretch of the x1 column and w into its
-stretch of x2; the copula kernel then turns w into v in place and the
-marginal kernels map both columns in place. Each thread has a workspace
-of two block-sized arrays, the copula kernel's scratch, into which the
-last, partial block also draws before copying what it keeps. So
-sampling allocates nothing per block, and a batch's workspace is four
-blocks at most.
+when, the result equals a serial run. `_drain` holds that queue-and-
+threads scheme, and `verify` runs its per-batch stages on it too. Each
+block is written in place, at its own rows, into one preallocated
+column-major (n, 2) array, so both columns are contiguous and nothing
+is concatenated. A full block draws u straight into its stretch of the
+x1 column and w into its stretch of x2; the copula kernel then turns w
+into v in place and the marginal kernels map both columns in place.
+Each thread has a workspace of two block-sized arrays, the copula
+kernel's scratch, into which the last, partial block also draws before
+copying what it keeps. So sampling allocates nothing per block, and a
+batch's workspace is four blocks at most.
 
 numpy is imported on first use, where a batch is sampled or estimated:
 importing this module (and so the package and its CLI) does not load it.
@@ -28,6 +29,7 @@ importing this module (and so the package and its CLI) does not load it.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -49,8 +51,9 @@ if TYPE_CHECKING:
 
 _BLOCK = 1 << 16
 _V_CAP = math.nextafter(1.0, 0.0)
-# at most this many threads, the caller's included, sample one batch; each
-# holds two blocks of workspace, which the memory bound of `verify` counts
+# at most this many threads, the caller's included, run one `_drain`; each
+# sampling thread holds two blocks of workspace, which the memory bound of
+# `verify` counts
 _WORKERS = 2
 
 
@@ -97,9 +100,15 @@ def sample_pairs(
     same seed, for decorrelating several portfolios or parallel workers.
     The seed and stream must be nonnegative integers.
     """
+    try:
+        n, seed, stream = map(operator.index, (n, seed, stream))
+    except TypeError:
+        raise DomainError(
+            f"n, seed and stream must be integers, got n={n!r}, "
+            f"seed={seed!r}, stream={stream!r}"
+        ) from None
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    seed, stream = int(seed), int(stream)
     if seed < 0 or stream < 0:
         raise DomainError(
             f"seed and stream must be >= 0, got seed={seed}, stream={stream}"
@@ -107,47 +116,66 @@ def sample_pairs(
     import numpy as np
 
     pairs = np.empty((n, 2), order="F")
-    blocks = -(-n // _BLOCK)
     root = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-    # workers take blocks off this queue until it is empty, so a worker on
-    # a slower CPU takes fewer; deque pops are thread-safe
-    jobs = deque(zip(range(0, n, _BLOCK), root.spawn(blocks)))
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    workers = min(_WORKERS, cpus, blocks)
-    if workers == 1:
-        _sample_blocks(portfolio, pairs, jobs)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # the calling thread samples too, beside workers - 1 pool threads
-        with ThreadPoolExecutor(workers - 1) as pool:
-            done = [
-                pool.submit(_sample_blocks, portfolio, pairs, jobs)
-                for _ in range(workers - 1)
-            ]
-            _sample_blocks(portfolio, pairs, jobs)
-            for future in done:
-                future.result()
+    blocks = root.spawn(-(-n // _BLOCK))
+    _drain(_sample_blocks, deque(zip(range(0, n, _BLOCK), blocks)),
+           portfolio, pairs)
     pairs.setflags(write=False)
     return SampleBatch(pairs=pairs, seed=seed, n=n)
 
 
-def _sample_blocks(portfolio: BivariatePortfolio, pairs, jobs: deque) -> None:
-    """Pop (start, SeedSequence) jobs and write their blocks into pairs."""
+def _drain(work, jobs: deque, *args, caller_first=None) -> None:
+    """Run work(taken, *args) on the caller and on pool threads until
+    jobs is empty.
+
+    Each thread's `taken` yields jobs popped off the shared deque (pops
+    are thread-safe), so a thread on a slower CPU takes fewer. There are
+    min(_WORKERS, usable CPUs, len(jobs)) threads, the caller's included;
+    with one, the caller works alone and no pool is started. The caller
+    runs caller_first(), if given, before it takes jobs, while the pool
+    threads already work. Whatever a pool thread raises is raised here,
+    after every thread has stopped.
+    """
+
+    def taken():
+        while True:
+            try:
+                yield jobs.popleft()
+            except IndexError:  # every job is taken
+                return
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    workers = min(_WORKERS, cpus, len(jobs))
+    if workers <= 1:
+        if caller_first is not None:
+            caller_first()
+        work(taken(), *args)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        done = [
+            pool.submit(work, taken(), *args) for _ in range(workers - 1)
+        ]
+        if caller_first is not None:
+            caller_first()
+        work(taken(), *args)
+        for future in done:
+            future.result()
+
+
+def _sample_blocks(jobs, portfolio: BivariatePortfolio, pairs) -> None:
+    """Write the block of each (start, SeedSequence) job into pairs."""
     import numpy as np
 
     n = pairs.shape[0]
     theta = portfolio.copula.theta
     # the copula kernel's scratch, reused by every block of this worker
     s, t = np.empty((2, _BLOCK))
-    while True:
-        try:
-            start, child = jobs.popleft()
-        except IndexError:  # every block is taken
-            return
+    for start, child in jobs:
         rng = np.random.default_rng(child)
         take = min(_BLOCK, n - start)
         x1 = pairs[start:start + take, 0]
@@ -168,13 +196,11 @@ def _sample_blocks(portfolio: BivariatePortfolio, pairs, jobs: deque) -> None:
         _quantile_into(portfolio.m2, x2, x2)
 
 
-def scalar_sample(batch: SampleBatch, target: str, out=None) -> np.ndarray:
+def scalar_sample(batch: SampleBatch, target: str) -> np.ndarray:
     """Derive the scalar loss sample (x1, x2, min, max or sum) of a batch.
 
     x1 and x2 are read-only views into the batch; min, max and sum are
-    written into out, an array of n floats the caller may reuse for every
-    target, or into a fresh array if out is None. Either way the caller
-    may reorder them in place.
+    fresh arrays.
     """
     import numpy as np
 
@@ -183,11 +209,11 @@ def scalar_sample(batch: SampleBatch, target: str, out=None) -> np.ndarray:
     if target == "x2":
         return batch.x2
     if target == "min":
-        return np.minimum(batch.x1, batch.x2, out=out)
+        return np.minimum(batch.x1, batch.x2)
     if target == "max":
-        return np.maximum(batch.x1, batch.x2, out=out)
+        return np.maximum(batch.x1, batch.x2)
     if target == "sum":
-        return np.add(batch.x1, batch.x2, out=out)
+        return np.add(batch.x1, batch.x2)
     raise DomainError(f"unknown target {target!r}")
 
 
@@ -231,8 +257,8 @@ def _tail_mean_estimate(
 
     xs must hold that order statistic at its sorted index r - 1, sorted
     from there up, with nothing above it below that index (a full sort,
-    or `cli._tail_sorted`); the tail is then the suffix past the last
-    copy of the threshold.
+    or `cli._select_tail` at or below r - 1); the tail is then the suffix
+    past the last copy of the threshold.
     """
     n = xs.size
     r = min(max(math.ceil(level * n), 1), n)

@@ -13,12 +13,19 @@ import numpy as np
 import pytest
 
 import copula_risk
-from copula_risk import cli
+from copula_risk import cli, mc_oracle
 from copula_risk.aggregate import aggregate_report
 from copula_risk.cli import main
+from copula_risk.errors import DomainError, LowTailCount
 from copula_risk.extremes import extreme_report
-from copula_risk.marginals import report
-from copula_risk.mc_oracle import _BLOCK
+from copula_risk.marginals import level_of, report
+from copula_risk.mc_oracle import (
+    _BLOCK,
+    _order_stat_estimate,
+    _tail_mean_estimate,
+    sample_pairs,
+    scalar_sample,
+)
 from copula_risk.numerics import DEFAULT_SETTINGS
 from copula_risk.tables import (
     TableSpec,
@@ -354,13 +361,12 @@ class TestVerifyTailSort:
 
     @staticmethod
     def grid(seed, mc_n):
-        # the CLI's grid, plus x1 and x2, whose samples are read-only views
         return cli._verify_cells(
             "exp", cli.VERIFY_EXP_THETAS, cli.VERIFY_EXP_ALPHAS,
-            ("x1",) + cli.VERIFY_EXP_TARGETS, mc_n, seed, DEFAULT_SETTINGS,
+            cli.VERIFY_EXP_TARGETS, mc_n, seed, DEFAULT_SETTINGS,
         ) + cli._verify_cells(
             "pareto", cli.VERIFY_PARETO_THETAS, cli.VERIFY_PARETO_ALPHAS,
-            ("x2",) + cli.VERIFY_PARETO_TARGETS, mc_n, seed, DEFAULT_SETTINGS,
+            cli.VERIFY_PARETO_TARGETS, mc_n, seed, DEFAULT_SETTINGS,
             stream_base=len(cli.VERIFY_EXP_THETAS),
         )
 
@@ -368,23 +374,64 @@ class TestVerifyTailSort:
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_records_equal_full_sort(self, monkeypatch, seed, mc_n):
         records = self.grid(seed, mc_n)
-        monkeypatch.setattr(
-            cli, "_tail_sorted", lambda sample, first, out: np.sort(sample)
-        )
+        monkeypatch.setattr(cli, "_select_tail", lambda xs, first: xs.sort())
         assert records == self.grid(seed, mc_n)
         if mc_n == 100:
             assert any(r["status"] == "low_tail_count" for r in records)
 
 
+def reference_cells(family, thetas, alphas, targets, mc_n, seed, settings,
+                    stream_base=0):
+    """`_verify_cells` by the public sampler and a full sort per target."""
+    records = []
+    for stream, theta in enumerate(thetas, start=stream_base):
+        portfolio = build_portfolio(family, theta)
+        batch = sample_pairs(portfolio, mc_n, seed, stream=stream)
+        for target in targets:
+            xs = np.sort(scalar_sample(batch, target))
+            for a in map(level_of, alphas):
+                for measure in cli.VERIFY_MEASURES:
+                    analytic = compute_measure(
+                        portfolio, target, measure, a, settings
+                    )
+                    record = {
+                        "family": family, "target": target,
+                        "measure": measure, "theta": theta, "alpha": a,
+                        "mc_n": mc_n, "analytic": analytic,
+                        "empirical": None, "std_error": None, "z": None,
+                        "status": "low_tail_count",
+                    }
+                    try:
+                        if measure == "cte":
+                            est = _tail_mean_estimate(xs, a, 30)
+                        else:
+                            level = a if measure == "var" else (1 + a) / 2
+                            est = _order_stat_estimate(xs, level)
+                    except LowTailCount:
+                        records.append(record)
+                        continue
+                    if est.std_error > 0.0:
+                        z = abs(analytic - est.point) / est.std_error
+                    else:
+                        z = 0.0 if analytic == est.point else math.inf
+                    record.update(
+                        empirical=est.point, std_error=est.std_error, z=z,
+                        status="pass" if z <= cli.VERIFY_Z_LIMIT else "fail",
+                    )
+                    records.append(record)
+    return records
+
+
 class TestVerifyBuffers:
-    """`_verify_cells` writes every scalar sample into one reused array."""
+    """`_verify_cells` derives every target in place in the batch and one
+    reused array."""
 
     @staticmethod
-    def grid(targets, mc_n):
-        return cli._verify_cells(
+    def grid(cells, targets, mc_n):
+        return cells(
             "exp", (-0.9, 0.5), cli.VERIFY_EXP_ALPHAS, targets, mc_n, 5,
             DEFAULT_SETTINGS,
-        ) + cli._verify_cells(
+        ) + cells(
             "pareto", (0.9,), cli.VERIFY_PARETO_ALPHAS,
             tuple(t for t in targets if t != "sum"),  # no Pareto sum
             mc_n, 5,
@@ -393,30 +440,32 @@ class TestVerifyBuffers:
 
     @pytest.mark.parametrize("mc_n", [100, 2**16 + 3])
     @pytest.mark.parametrize(
-        "targets", [("x1", "min", "max", "sum", "x2"),
-                    ("x2", "sum", "max", "min", "x1")],
+        "targets", [("min", "max", "sum"), ("sum", "max", "min")],
     )
-    def test_records_equal_fresh_samples(self, monkeypatch, targets, mc_n):
-        records = self.grid(targets, mc_n)
-        sample = cli.scalar_sample
-        monkeypatch.setattr(
-            cli, "scalar_sample",
-            lambda batch, target, out: sample(batch, target).copy(),
-        )
-        fresh = self.grid(targets, mc_n)
+    def test_records_equal_fresh_samples(self, targets, mc_n):
+        records = self.grid(cli._verify_cells, targets, mc_n)
+        fresh = self.grid(reference_cells, targets, mc_n)
         assert records == fresh
         assert [r["target"] for r in records] == [r["target"] for r in fresh]
+
+    @pytest.mark.parametrize("targets", [("x1",), ("min", "x2"), ("median",)])
+    def test_marginal_or_unknown_target_is_a_domain_error(self, targets):
+        with pytest.raises(DomainError, match="min, max and sum"):
+            cli._verify_cells("exp", (0.5,), (0.9,), targets, 1000, 5,
+                              DEFAULT_SETTINGS)
 
     def test_peak_memory_is_one_batch_and_one_sample(self):
         n = 2**18
         thetas, alphas = (0.0, 0.5, 0.9), (0.9,)
-        # first calls fill caches and load code outside the traced run
-        cli._verify_cells("exp", thetas, alphas, ("min",), 1000, 3,
+        targets = ("min", "max", "sum")
+        # first calls fill caches, load code and start a thread pool
+        # outside the traced run
+        cli._verify_cells("exp", thetas, alphas, targets, 2 * _BLOCK, 3,
                           DEFAULT_SETTINGS)
         tracemalloc.start()
         try:
-            cli._verify_cells("exp", thetas, alphas, ("x1", "min", "sum"), n,
-                              3, DEFAULT_SETTINGS)
+            cli._verify_cells("exp", thetas, alphas, targets, n, 3,
+                              DEFAULT_SETTINGS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -428,6 +477,55 @@ class TestVerifyBuffers:
         # alongside the one it replaces, would exceed it by 1 MiB or more.
         bound = 8 * (2 * n + n + 4 * _BLOCK) + 2**20
         assert peak <= bound, (peak, bound)
+
+
+class TestVerifyWorkers:
+    """The per-batch stages give the same records on any number of threads."""
+
+    @pytest.mark.parametrize("mc_n", [100, 2**16 + 3, 200_000])
+    @pytest.mark.parametrize(
+        "targets", [("min", "max", "sum"), ("sum", "max", "min")],
+    )
+    def test_records_equal_across_worker_counts(
+        self, monkeypatch, targets, mc_n
+    ):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+        )
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(mc_oracle, "_WORKERS", workers)
+            runs.append(TestVerifyBuffers.grid(cli._verify_cells, targets, mc_n))
+        assert runs[0] == runs[1] == runs[2]
+        if mc_n == 100:
+            assert any(r["status"] == "low_tail_count" for r in runs[0])
+
+    def test_select_error_propagates_and_threads_end(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+        )
+        batches = []
+        sample = cli.sample_pairs
+
+        def recorded(*args, **kwargs):
+            batches.append(sample(*args, **kwargs))
+            return batches[-1]
+
+        select = cli._select_tail
+
+        def failing(xs, first):
+            # the max is written over the x2 column
+            if np.may_share_memory(xs, batches[-1].x2):
+                raise ValueError("injected")
+            select(xs, first)
+
+        monkeypatch.setattr(cli, "sample_pairs", recorded)
+        monkeypatch.setattr(cli, "_select_tail", failing)
+        baseline = threading.active_count()
+        with pytest.raises(ValueError, match="injected"):
+            cli._verify_cells("exp", (0.5,), (0.9,), ("min", "max", "sum"),
+                              2 * _BLOCK + 1, 5, DEFAULT_SETTINGS)
+        assert threading.active_count() == baseline
 
 
 def test_cold_start_without_numpy():

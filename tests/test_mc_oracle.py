@@ -126,6 +126,25 @@ class TestSampling:
         with pytest.raises(DomainError, match="must be >= 0"):
             sample_pairs(exp_portfolio(0.0), 3 * _BLOCK, seed, stream)
 
+    @pytest.mark.parametrize(
+        "n, seed, stream",
+        [(10, 3.7, 0), (10, 3.0, 0), (10, 3, 1.5), (10.0, 3, 0), ("10", 3, 0)],
+    )
+    def test_non_integer_n_seed_or_stream_is_a_domain_error(
+        self, n, seed, stream
+    ):
+        with pytest.raises(DomainError, match="must be integers"):
+            sample_pairs(exp_portfolio(0.0), n, seed, stream)
+
+    def test_integer_types_are_accepted(self):
+        p = exp_portfolio(0.3)
+        batch = sample_pairs(p, np.int64(1000), np.uint32(7), np.int8(2))
+        assert (batch.n, batch.seed) == (1000, 7)
+        assert type(batch.n) is int and type(batch.seed) is int
+        assert np.array_equal(
+            batch.pairs, sample_pairs(p, 1000, 7, stream=2).pairs
+        )
+
     def test_scalar_sample_targets(self):
         batch = sample_pairs(exp_portfolio(0.4), 1000, seed=3)
         mn = scalar_sample(batch, "min")
@@ -410,7 +429,8 @@ class TestTailMeanSelection:
             rng.integers(11, 16, above),
         )).astype(float)
         rng.shuffle(xs)
-        return cli._tail_sorted(xs, cli._first_read(1000, (0.9,)), None)
+        cli._select_tail(xs, cli._first_read(1000, (0.9,)))
+        return xs
 
     @pytest.mark.parametrize("seed", range(5))
     def test_exactly_min_tail_exceedances(self, seed):
@@ -430,11 +450,8 @@ class TestTailMeanSelection:
     @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.999])
     def test_continuous_sample_bytewise(self, level):
         batch = sample_pairs(exp_portfolio(0.5), 200_003, seed=71)
-        xs = cli._tail_sorted(
-            scalar_sample(batch, "sum"),
-            cli._first_read(batch.n, (level,)),
-            None,
-        )
+        xs = scalar_sample(batch, "sum")
+        cli._select_tail(xs, cli._first_read(batch.n, (level,)))
         assert _tail_mean_estimate(xs, level, 30) == _masked_tail_mean(
             xs, level, 30
         )

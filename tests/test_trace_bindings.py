@@ -4,11 +4,15 @@ perfbench/tracing.py traces the program by rebinding module-level names
 (the root solver in `extremes` and `aggregate`, the samplers and
 estimators in `cli`, ...). This test fails as soon as the library drops
 or renames one of them, instead of leaving it to the harness's own tests.
+The tracer's span stack is not thread-safe, so every traced call must
+also stay on the calling thread.
 """
 
+import os
+import threading
 from pathlib import Path
 
-from copula_risk import extremes
+from copula_risk import cli, extremes
 from copula_risk.aggregate import AggregateExpPortfolio, aggregate_report
 from copula_risk.copula import FgmCopula
 from copula_risk.marginals import ExponentialMarginal
@@ -31,3 +35,31 @@ def test_layer_tracing_binds_and_restores(monkeypatch):
     assert extremes.solve_increasing is original
     # sums solve through the traced solver too: VaR and MoT
     assert t.counts["numerics.solves"] == 2
+
+
+def test_traced_verify_spans_run_on_the_calling_thread(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    # two usable CPUs at least, so verify's stages start their pool threads
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+    )
+
+    class Recording(tracing.Tracer):
+        def __init__(self):
+            super().__init__()
+            self.threads = set()
+
+        def enter(self, name):
+            self.threads.add(threading.current_thread())
+            super().enter(name)
+
+    with tracing.layer_tracing(Recording()) as t:
+        cli.main(["verify", "--mc-n", "20000"])
+    capsys.readouterr()
+    assert t.threads == {threading.main_thread()}
+    for name in ("mc_oracle.sample", "mc_oracle.estimate",
+                 "tables.compute_measure", "cli.verify_cells"):
+        assert t.count(name) >= 1, name
+    assert t._stack == []
