@@ -258,9 +258,9 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
     its data. (2) Each target's sample is partitioned at `_first_read`
     and its tail sorted in place, while the caller solves the analytic
     values. (3) The caller runs the estimators and builds the records,
-    per target, alpha and measure. Stages 1 and 2 run on `mc_oracle._drain`;
-    its pool threads run only numpy kernels, so every traced name is
-    called through this module, on the calling thread.
+    per target, alpha and measure. Stages 1 and 2 run on
+    `mc_oracle._drain`; its pool threads run only numpy kernels, so every
+    traced name is called through this module, on the calling thread.
 
     Raises:
         DomainError: for mc_n < 1, or a target other than min, max or sum.

@@ -495,7 +495,9 @@ class TestVerifyWorkers:
         runs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(mc_oracle, "_WORKERS", workers)
-            runs.append(TestVerifyBuffers.grid(cli._verify_cells, targets, mc_n))
+            runs.append(
+                TestVerifyBuffers.grid(cli._verify_cells, targets, mc_n)
+            )
         assert runs[0] == runs[1] == runs[2]
         if mc_n == 100:
             assert any(r["status"] == "low_tail_count" for r in runs[0])
