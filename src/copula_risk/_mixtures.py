@@ -1,11 +1,11 @@
 """Signed survival-term mixtures underlying the composite distributions.
 
-Every minimum, maximum and sum distribution in scope has a survival
-function of the form S(x) = sum_i w_i * b_i(x), where b_i is either an
-exponential survival term exp(-r_i x) or a Pareto survival term
-(x0/x)^(g_i). CDF, density and tail expectation then all follow term by
-term, which keeps one code path for every composite and makes each
-coefficient independently checkable.
+The FGM density splits into four weighted pairs of independent marginals
+(`fgm_pairs`); the minimum, maximum and sum laws are all read from them.
+The extremes have survival functions S(x) = sum_i w_i * b_i(x), where b_i
+is an exponential term exp(-r_i x) or a Pareto term (x0/x)^(g_i), so CDF,
+density and tail expectation follow term by term, on one code path for
+both extremes. The sum's four hypoexponential pairs are in `aggregate`.
 """
 
 from __future__ import annotations
@@ -91,29 +91,16 @@ class ParetoTermMixture:
         )
 
 
-WeightedSlots = tuple[tuple[float, tuple[int, int]], ...]
+def fgm_pairs(theta: float) -> tuple[tuple[float, int, int], ...]:
+    """The FGM density as entries (w, i, j) of weighted independent pairs.
 
-
-def fgm_extreme_weights(theta: float, which: str) -> WeightedSlots:
-    """Survival-term weights of min/max under FGM, as (weight, slot) pairs.
-
-    A slot (i, j) stands for the combination i*p1 + j*p2 of the two marginal
-    parameters; the caller maps slots onto actual rates or tail exponents.
+    f1*f2*(1 + theta*(2*S1 - 1)*(2*S2 - 1)) = sum of w * g_i1 * g_j2, with
+    g_ik the density of marginal k at i times its rate or tail exponent:
+    fk * 2*Sk is that density at twice the parameter, for both families.
     """
-    if which == "min":
-        return (
-            (1.0 + theta, (1, 1)),
-            (-theta, (2, 1)),
-            (-theta, (1, 2)),
-            (theta, (2, 2)),
-        )
-    if which == "max":
-        return (
-            (1.0, (1, 0)),
-            (1.0, (0, 1)),
-            (-1.0 - theta, (1, 1)),
-            (theta, (2, 1)),
-            (theta, (1, 2)),
-            (-theta, (2, 2)),
-        )
-    raise ValueError(f"unknown extreme selector {which!r}")
+    return (
+        (1.0 + theta, 1, 1),
+        (-theta, 2, 1),
+        (-theta, 1, 2),
+        (theta, 2, 2),
+    )

@@ -4,7 +4,8 @@ The FGM joint density l1*l2*s1*s2*(1 + theta*(2*s1 - 1)*(2*s2 - 1)), with
 si = exp(-li*xi), splits into four products of independent exponential
 densities, so X1 + X2 is a signed mixture of four hypoexponential pairs:
 weights (1 + theta, -theta, -theta, theta) on the rate pairs (l1, l2),
-(2*l1, l2), (l1, 2*l2) and (2*l1, 2*l2).
+(2*l1, l2), (l1, 2*l2) and (2*l1, 2*l2), the entries (w, i, j) of the
+table `_mixtures.fgm_pairs` at (i*l1, j*l2) that the min and max read too.
 
 Each pair (a, b), with b the smaller rate and d = a - b, is written through
 the divided difference of the exponential, phi(z) = -expm1(-z)/z with
@@ -31,8 +32,9 @@ report solves VaR once.
 
 from __future__ import annotations
 
-from math import exp, expm1
+from math import exp, expm1, inf
 
+from ._mixtures import fgm_pairs
 from .errors import DomainError
 from .extremes import BivariatePortfolio, cte_beyond, law_report, solve_level
 from .marginals import AlphaLike, ExponentialMarginal, RiskReport, level_of
@@ -97,28 +99,22 @@ class _SumLaw:
 
     def __init__(self, p: BivariatePortfolio) -> None:
         _check_exponential(p)
-        l1, l2, th = p.m1.rate, p.m2.rate, p.copula.theta
+        l1, l2 = p.m1.rate, p.m2.rate
         if l1 > l2:
             # the pairs and weights are symmetric under swapping the rates
             l1, l2 = l2, l1
         # (weight, a, b) with b = min(a, b) the rate of the slower term
         self._pairs = tuple(
-            (w, max(r, s), min(r, s))
-            for w, r, s in (
-                (1.0 + th, l1, l2),
-                (-th, 2.0 * l1, l2),
-                (-th, l1, 2.0 * l2),
-                (th, 2.0 * l1, 2.0 * l2),
-            )
+            (w, max(i * l1, j * l2), min(i * l1, j * l2))
+            for w, i, j in fgm_pairs(p.copula.theta)
         )
-        b1 = min(2.0 * l1, l2)
-        # cdf constants: rates, weights, the rate gaps of the pairs
-        # (l1, l2), (2*l1, l2) and (l1, 2*l2), and the slower rate of the
-        # second pair with whether it is 2*l1
+        # cdf constants: rates, weights, the rate gaps of the first three
+        # pairs, and the second pair's slower rate b1 with whether it is 2*l1
+        (w0, _, _), (_, a1, b1), (_, a2, _), (th, _, _) = self._pairs
         self._k = (
-            l1, l2, 1.0 + th, th,
-            l2 - l1, abs(2.0 * l1 - l2), 2.0 * l2 - l1,
-            b1, 2.0 * l1 <= l2,
+            l1, l2, w0, th,
+            l2 - l1, a1 - b1, a2 - l1,
+            b1, b1 == 2.0 * l1,
         )
 
     def cdf(self, x: float) -> float:
@@ -151,7 +147,8 @@ class _SumLaw:
         return c if 0.0 <= c <= 1.0 else (0.0 if c < 0.0 else 1.0)
 
     def pdf(self, x: float) -> float:
-        if x <= 0.0:
+        # at +inf each pair's b*x*phi(d*x) would be inf*0
+        if not 0.0 < x < inf:
             return 0.0
         val = sum(
             w * a * exp(-b * x) * (b * x) * _phi((a - b) * x)
@@ -170,14 +167,14 @@ class _SumLaw:
 
 def aggregate_pdf(p: BivariatePortfolio, x: float) -> float:
     """Density of X1 + X2 at x >= 0."""
-    if x < 0.0:
+    if not x >= 0.0:  # NaN fails the check too
         raise DomainError(f"x must be nonnegative, got {x}")
     return _SumLaw(p).pdf(x)
 
 
 def aggregate_cdf(p: BivariatePortfolio, x: float) -> float:
     """Distribution function of X1 + X2 at x >= 0."""
-    if x < 0.0:
+    if not x >= 0.0:  # NaN fails the check too
         raise DomainError(f"x must be nonnegative, got {x}")
     return _SumLaw(p).cdf(x)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections import deque
@@ -32,6 +31,7 @@ from .mc_oracle import (
     _BLOCK,
     _drain,
     _order_stat_estimate,
+    _read_window,
     _tail_mean_estimate,
     sample_pairs,
 )
@@ -194,15 +194,14 @@ def cmd_figure(args) -> int:
 def _first_read(n: int, alphas) -> int:
     """Lowest 0-based order statistic the estimators read at any alpha.
 
-    VaR and MoT read the order statistics from ceil(level*n) - k up, with
-    k one binomial standard deviation, at the levels alpha and
-    (1 + alpha)/2; CTE reads ceil(alpha*n) and the values above it.
+    VaR and MoT read `_read_window` at the levels alpha and (1 + alpha)/2;
+    CTE reads ceil(alpha*n), the window's point at alpha, and the values
+    above it.
     """
     first = n - 1
     for a in map(level_of, alphas):
         for lv in (a, 0.5 * (1.0 + a)):
-            k = max(1, round(math.sqrt(n * lv * (1.0 - lv))))
-            first = min(first, max(math.ceil(lv * n) - k, 1) - 1)
+            first = min(first, _read_window(n, lv)[1] - 1)
     return first
 
 

@@ -3,7 +3,9 @@ solve-and-report path shared by every composite law.
 
 Under FGM dependence the survival function of either extreme is a signed
 sum of exponential or Pareto survival terms built from the two marginal
-parameters (`ExpTermMixture`, `ParetoTermMixture`). These and the sum's law
+parameters (`ExpTermMixture`, `ParetoTermMixture`): P(min > x) has the
+terms (w, i*p1 + j*p2) of the pairs (w, i, j) of `_mixtures.fgm_pairs`, and
+P(max > x) = S1(x) + S2(x) - P(min > x). These and the sum's law
 (`aggregate._SumLaw`) share one interface: `lo`, the left end of the
 support, `cdf`, and the closed-form `tail_expectation` int_q^inf x f(x) dx,
 which raises `DivergentTail` where the integral diverges. `solve_level`
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isnan
 from typing import Union
 
-from ._mixtures import ExpTermMixture, ParetoTermMixture, fgm_extreme_weights
+from ._mixtures import ExpTermMixture, ParetoTermMixture, fgm_pairs
 from .copula import FgmCopula
 from .errors import DomainError
 from .marginals import (
@@ -74,16 +77,17 @@ def _selector(s: Union[ExtremeSelector, str]) -> ExtremeSelector:
 
 
 def _mixture(p: BivariatePortfolio, s: ExtremeSelector):
-    weights = fgm_extreme_weights(p.copula.theta, s.value)
     if isinstance(p.m1, ExponentialMarginal):
         p1, p2 = p.m1.rate, p.m2.rate
-        return ExpTermMixture(
-            tuple((w, i * p1 + j * p2) for w, (i, j) in weights)
-        )
-    p1, p2 = p.m1.gamma, p.m2.gamma
-    return ParetoTermMixture(
-        p.m1.x0, tuple((w, i * p1 + j * p2) for w, (i, j) in weights)
-    )
+    else:
+        p1, p2 = p.m1.gamma, p.m2.gamma
+    terms = tuple((w, i * p1 + j * p2) for w, i, j in fgm_pairs(p.copula.theta))
+    if s is ExtremeSelector.MAX:
+        # P(max > x) = S1(x) + S2(x) - P(min > x)
+        terms = ((1.0, p1), (1.0, p2)) + tuple((-w, r) for w, r in terms)
+    if isinstance(p.m1, ExponentialMarginal):
+        return ExpTermMixture(terms)
+    return ParetoTermMixture(p.m1.x0, terms)
 
 
 def extreme_cdf(p: BivariatePortfolio, s, x: float) -> float:
@@ -92,11 +96,15 @@ def extreme_cdf(p: BivariatePortfolio, s, x: float) -> float:
     Equals u + v - C(u, v) for the minimum and C(u, v) for the maximum,
     with u = F1(x), v = F2(x).
     """
+    if isnan(x):
+        raise DomainError("x must not be NaN")
     return _mixture(p, _selector(s)).cdf(x)
 
 
 def extreme_pdf(p: BivariatePortfolio, s, x: float) -> float:
     """Density of the selected extreme at x."""
+    if isnan(x):
+        raise DomainError("x must not be NaN")
     return _mixture(p, _selector(s)).pdf(x)
 
 

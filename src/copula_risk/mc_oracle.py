@@ -226,6 +226,15 @@ def _sorted_sample(sample) -> np.ndarray:
     return xs
 
 
+def _read_window(n: int, level: float) -> tuple[int, int, int]:
+    """(r, lo, hi), 1-based: the order statistic r = ceil(level * n) and
+    r -/+ k within [1, n], k one binomial standard deviation.
+    """
+    r = min(max(math.ceil(level * n), 1), n)
+    k = max(1, round(math.sqrt(n * level * (1.0 - level))))
+    return r, max(r - k, 1), min(r + k, n)
+
+
 def _order_stat_estimate(xs: np.ndarray, level: float) -> EstimateWithError:
     """Empirical quantile at the given level with a binomial-method SE.
 
@@ -236,11 +245,8 @@ def _order_stat_estimate(xs: np.ndarray, level: float) -> EstimateWithError:
     to either side.
     """
     n = xs.size
-    r = min(max(math.ceil(level * n), 1), n)
+    r, i_lo, i_hi = _read_window(n, level)
     point = float(xs[r - 1])
-    k = max(1, round(math.sqrt(n * level * (1.0 - level))))
-    i_lo = max(r - k, 1)
-    i_hi = min(r + k, n)
     width = float(xs[i_hi - 1] - xs[i_lo - 1])
     if width > 0.0 and i_hi > i_lo:
         dens = (i_hi - i_lo) / n / width
@@ -261,7 +267,7 @@ def _tail_mean_estimate(
     past the last copy of the threshold.
     """
     n = xs.size
-    r = min(max(math.ceil(level * n), 1), n)
+    r = _read_window(n, level)[0]
     qhat = float(xs[r - 1])
     upper = xs[r - 1:]
     tail = upper[upper.searchsorted(qhat, side="right"):]

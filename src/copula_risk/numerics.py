@@ -35,8 +35,8 @@ class SolverSettings:
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
+        if not 0 < self.abs_tol < math.inf:
+            raise DomainError(f"abs_tol must lie in (0, inf), got {self.abs_tol}")
 
 
 DEFAULT_SETTINGS = SolverSettings()

@@ -138,9 +138,11 @@ def compute_measure(
 ) -> float:
     """Evaluate one measure for one target on an assembled portfolio.
 
-    Sums need exponential marginals; the aggregate measures raise
-    DomainError for any other family.
+    Raises DomainError for a measure other than var, cte or mot, and for a
+    sum of marginals that are not exponential.
     """
+    if measure not in ("var", "cte", "mot"):
+        raise DomainError(f"measure must be var, cte or mot, got {measure!r}")
     if target in ("x1", "x2"):
         m = portfolio.m1 if target == "x1" else portfolio.m2
         return {"var": var, "cte": cte, "mot": mot}[measure](m, alpha)

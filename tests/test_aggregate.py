@@ -87,6 +87,17 @@ class TestPdf:
         with pytest.raises(DomainError):
             aggregate_pdf(portfolio(0.0), -1.0)
 
+    @pytest.mark.parametrize("l2", [0.6, 0.5, 1.0])
+    def test_nan_rejected_and_zero_at_infinity(self, l2):
+        # equal, 2:1 and generic rates: inf*0 in a pair's terms gave NaN
+        p = portfolio(0.7, 0.5, l2)
+        with pytest.raises(DomainError):
+            aggregate_pdf(p, math.nan)
+        with pytest.raises(DomainError):
+            aggregate_cdf(p, math.nan)
+        assert aggregate_pdf(p, math.inf) == 0.0
+        assert aggregate_cdf(p, math.inf) == 1.0
+
     def test_against_convolution_oracle_spot(self):
         # frozen external value of the theta = 0.7 convolution at x = 3
         assert aggregate_pdf(portfolio(0.7), 3.0) == pytest.approx(

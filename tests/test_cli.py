@@ -137,6 +137,14 @@ class TestMeasure:
         assert rc == 2
         assert json.loads(err)["error"]["type"] == "DomainError"
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_is_a_parameter_error(self, capsys, tol):
+        # --tol inf used to print the first bracket's midpoint as the VaR
+        assert_one_error_record(
+            capsys, "abs_tol", "measure", "--dist", "exp", "--target", "min",
+            "--measure", "var", "--tol", tol,
+        )
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["measure", "--dist", "cauchy", "--target", "min",

@@ -74,6 +74,17 @@ class TestExtremeCdf:
             assert extreme_cdf(pareto_portfolio(theta), "min", 1.0) == 0.0
             assert extreme_cdf(pareto_portfolio(theta), "max", 1.0) == 0.0
 
+    @pytest.mark.parametrize("which", ["min", "max"])
+    @pytest.mark.parametrize("make", [exp_portfolio, pareto_portfolio])
+    def test_nan_rejected_and_limits_at_infinity(self, make, which):
+        p = make(0.4)
+        with pytest.raises(DomainError):
+            extreme_cdf(p, which, math.nan)
+        with pytest.raises(DomainError):
+            extreme_pdf(p, which, math.nan)
+        assert extreme_cdf(p, which, math.inf) == 1.0
+        assert extreme_pdf(p, which, math.inf) == 0.0
+
     def test_independent_pareto_max_published_quantile(self):
         assert extreme_cdf(
             pareto_portfolio(0.0), "max", 2.4022

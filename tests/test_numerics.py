@@ -225,4 +225,7 @@ class TestQuadTail:
 def test_settings_validation():
     with pytest.raises(DomainError):
         SolverSettings(abs_tol=0.0)
+    for tol in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="inf"):
+            SolverSettings(abs_tol=tol)
     assert DEFAULT_SETTINGS.abs_tol == 1e-12

@@ -110,3 +110,9 @@ def test_build_portfolio_rejects_pareto_sum():
             compute_measure(pareto, "sum", measure, 0.9)
     with pytest.raises(DomainError):
         build_portfolio("lognormal", 0.5)
+
+
+@pytest.mark.parametrize("target", ["x1", "min", "sum"])
+def test_unknown_measure_is_a_domain_error(target):
+    with pytest.raises(DomainError, match="'foo'"):
+        compute_measure(build_portfolio("exp", 0.5), target, "foo", 0.9)
