@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DivergentTail
+from .marginals import Method
 from .numerics import exp_tail_integral, pareto_tail_integral
 
 Terms = tuple[tuple[float, float], ...]
@@ -25,6 +26,7 @@ class ExpTermMixture:
 
     terms: Terms
     lo = 0.0
+    method = Method.ROOT_SOLVE
 
     def survival(self, x: float) -> float:
         if x <= 0.0:
@@ -53,6 +55,7 @@ class ParetoTermMixture:
 
     x0: float
     terms: Terms
+    method = Method.ROOT_SOLVE
 
     @property
     def lo(self) -> float:

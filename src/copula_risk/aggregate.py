@@ -22,12 +22,9 @@ and 2:1 rates take the same path as every other rate pair.
 The sum is measured on the same `BivariatePortfolio` as the min and max.
 `_SumLaw` raises `DomainError` when the marginals are not exponential;
 `AggregateExpPortfolio` is the subclass that makes the same check when it
-is built. `_SumLaw` is a composite law with `lo = 0`, a `cdf` and a
-`tail_expectation`, so the sum's measures take the same solve-and-report
-path as the min and max (`extremes.solve_level`, `cte_beyond` and
-`law_report`): VaR and MoT are bracketed root solves of the CDF, CTE is
-the pairs' signed tail integrals beyond VaR divided by 1 - alpha, and a
-report solves VaR once.
+is built. `_SumLaw` is the solved law that `tables.law_of` gives for the
+sum, with `lo = 0`, a `cdf` and a `tail_expectation`, so the sum's
+measures take the one path of every target, `extremes.law_measures`.
 """
 
 from __future__ import annotations
@@ -36,8 +33,8 @@ from math import exp, expm1, inf
 
 from ._mixtures import fgm_pairs
 from .errors import DomainError
-from .extremes import BivariatePortfolio, cte_beyond, law_report, solve_level
-from .marginals import AlphaLike, ExponentialMarginal, RiskReport, level_of
+from .extremes import BivariatePortfolio, law_measures, law_report
+from .marginals import AlphaLike, ExponentialMarginal, Method, RiskReport
 from .numerics import DEFAULT_SETTINGS, SolverSettings
 
 # Sums solve through extremes.solve_level. The benchmark's layer tracing
@@ -96,6 +93,7 @@ class _SumLaw:
 
     __slots__ = ("_pairs", "_k")
     lo = 0.0
+    method = Method.ROOT_SOLVE
 
     def __init__(self, p: BivariatePortfolio) -> None:
         _check_exponential(p)
@@ -185,7 +183,7 @@ def aggregate_var(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Value at risk of the aggregate, by bracketed root solve."""
-    return solve_level(_SumLaw(p), level_of(alpha), settings)
+    return law_measures(_SumLaw(p), alpha, "var", settings)
 
 
 def aggregate_mot(
@@ -194,7 +192,7 @@ def aggregate_mot(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Median of the tail beyond VaR: solves F(M) = (1 + alpha) / 2."""
-    return solve_level(_SumLaw(p), 0.5 * (1.0 + level_of(alpha)), settings)
+    return law_measures(_SumLaw(p), alpha, "mot", settings)
 
 
 def aggregate_cte(
@@ -207,9 +205,7 @@ def aggregate_cte(
     Signed sum of closed-form tail integrals beyond VaR divided by
     1 - alpha.
     """
-    a = level_of(alpha)
-    law = _SumLaw(p)
-    return cte_beyond(law, solve_level(law, a, settings), a)
+    return law_measures(_SumLaw(p), alpha, "cte", settings)
 
 
 def aggregate_report(
@@ -218,4 +214,4 @@ def aggregate_report(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> RiskReport:
     """All three measures of the aggregate at one confidence level."""
-    return law_report(_SumLaw(p), level_of(alpha), settings)
+    return law_report(_SumLaw(p), alpha, settings)

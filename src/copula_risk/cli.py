@@ -26,6 +26,7 @@ from collections import deque
 from pathlib import Path
 
 from .errors import CopulaRiskError, DomainError, LowTailCount
+from .extremes import law_measures, law_tolerance
 from .marginals import level_of
 from .mc_oracle import (
     _BLOCK,
@@ -40,6 +41,7 @@ from .tables import (
     DEFAULT_EXP_RATES,
     DEFAULT_PARETO_GAMMAS,
     DEFAULT_PARETO_X0,
+    DEFAULT_TABLE_ALPHA,
     DEFAULT_THETA_GRID,
     FIGURES,
     TABLES,
@@ -47,6 +49,7 @@ from .tables import (
     build_portfolio,
     compute_measure,
     compute_table,
+    law_of,
 )
 
 # Monte Carlo cross-check grid: the exponential family exercises negative,
@@ -126,11 +129,8 @@ def cmd_measure(args) -> int:
         pareto_x0=args.x0,
         pareto_gammas=(args.g1, args.g2),
     )
-    value = compute_measure(portfolio, args.target, args.measure, args.alpha, settings)
-    if args.target in ("x1", "x2"):
-        method, tol = "closed_form", 0.0
-    else:
-        method, tol = "root_solve", settings.abs_tol
+    law = law_of(portfolio, args.target)
+    value = law_measures(law, args.alpha, args.measure, settings)
     record = {
         "dist": args.dist,
         "l1": args.l1 if args.dist == "exp" else None,
@@ -143,8 +143,8 @@ def cmd_measure(args) -> int:
         "target": args.target,
         "measure": args.measure,
         "value": value,
-        "method": method,
-        "tolerance": tol,
+        "method": law.method.value,
+        "tolerance": law_tolerance(law, settings),
     }
     _emit([record], MEASURE_FIELDS, args)
     return 0
@@ -175,18 +175,16 @@ def cmd_table(args) -> int:
 
 def cmd_figure(args) -> int:
     settings = SolverSettings(abs_tol=args.tol)
-    var_id, cte_id = FIGURES[args.figure_id]
-    var_rows = compute_table(TableSpec(table_id=var_id), settings)
-    cte_rows = compute_table(TableSpec(table_id=cte_id), settings)
-    records = [
-        {
-            "figure_id": args.figure_id,
-            "theta": vr["theta"],
-            "var": vr["value"],
-            "cte": cr["value"],
-        }
-        for vr, cr in zip(var_rows, cte_rows)
-    ]
+    tdef = TABLES[FIGURES[args.figure_id][0]]  # its CTE table differs only in measure
+    records = []
+    for theta in DEFAULT_THETA_GRID:
+        var, cte = compute_measure(
+            build_portfolio(tdef.family, theta), tdef.target, ("var", "cte"),
+            DEFAULT_TABLE_ALPHA, settings,
+        )
+        records.append(
+            {"figure_id": args.figure_id, "theta": theta, "var": var, "cte": cte}
+        )
     _emit(records, FIGURE_FIELDS, args)
     return 0
 
@@ -293,18 +291,16 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
         def solve():
             for target in targets:
                 for a in levels:
-                    for measure in VERIFY_MEASURES:
-                        solved[target, a, measure] = compute_measure(
-                            portfolio, target, measure, a, settings
-                        )
+                    solved[target, a] = compute_measure(
+                        portfolio, target, VERIFY_MEASURES, a, settings
+                    )
 
         slots = deque(samples[t] for t in dict.fromkeys(targets))
         _drain(_select_slots, slots, first, caller_first=solve)
         for target in targets:
             xs = samples[target]
             for a in levels:
-                for measure in VERIFY_MEASURES:
-                    analytic = solved[target, a, measure]
+                for measure, analytic in zip(VERIFY_MEASURES, solved[target, a]):
                     record = {
                         "family": family,
                         "target": target,

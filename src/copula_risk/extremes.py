@@ -1,25 +1,25 @@
 """Risk measures of the minimum and maximum of two dependent losses, and the
-solve-and-report path shared by every composite law.
+one path that measures the law of every target.
 
 Under FGM dependence the survival function of either extreme is a signed
 sum of exponential or Pareto survival terms built from the two marginal
 parameters (`ExpTermMixture`, `ParetoTermMixture`): P(min > x) has the
 terms (w, i*p1 + j*p2) of the pairs (w, i, j) of `_mixtures.fgm_pairs`, and
-P(max > x) = S1(x) + S2(x) - P(min > x). These and the sum's law
-(`aggregate._SumLaw`) share one interface: `lo`, the left end of the
-support, `cdf`, and the closed-form `tail_expectation` int_q^inf x f(x) dx,
-which raises `DivergentTail` where the integral diverges. `solve_level`
-brackets up from `lo` and bisects the CDF (VaR at level alpha, MoT at
-(1 + alpha) / 2), `cte_beyond` divides the tail integral beyond VaR by
-1 - alpha, and `law_report` solves VaR once and reuses it for CTE.
-"""
+P(max > x) = S1(x) + S2(x) - P(min > x).
 
+Each target's law (`tables.law_of`) states its `method`. `law_measures`
+reads the quantiles and CTE of a closed-form law (`MarginalLaw`); it solves
+the others, which share `lo`, the left end of the support, `cdf` and the
+closed-form `tail_expectation` int_q^inf x f(x) dx (raising `DivergentTail`
+where it diverges): `solve_level` brackets up from `lo` and bisects the
+CDF. `law_report` builds every `RiskReport` from `law_measures`, and every
+public measure of a marginal, an extreme or the sum is one call into them.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from math import isnan
-from typing import Union
 
 from ._mixtures import ExpTermMixture, ParetoTermMixture, fgm_pairs
 from .copula import FgmCopula
@@ -69,20 +69,18 @@ class BivariatePortfolio:
             )
 
 
-def _selector(s: Union[ExtremeSelector, str]) -> ExtremeSelector:
-    try:
-        return ExtremeSelector(s)
-    except ValueError:
-        raise DomainError(f"selector must be 'min' or 'max', got {s!r}") from None
-
-
-def _mixture(p: BivariatePortfolio, s: ExtremeSelector):
+def _mixture(p: BivariatePortfolio, s):
+    """The survival-term mixture of the selected extreme: its law."""
+    if s not in ("min", "max"):  # an ExtremeSelector equals its value
+        raise DomainError(f"selector must be 'min' or 'max', got {s!r}")
     if isinstance(p.m1, ExponentialMarginal):
         p1, p2 = p.m1.rate, p.m2.rate
     else:
         p1, p2 = p.m1.gamma, p.m2.gamma
-    terms = tuple((w, i * p1 + j * p2) for w, i, j in fgm_pairs(p.copula.theta))
-    if s is ExtremeSelector.MAX:
+    # a weight of exactly 0 (1 + theta at theta = -1) adds nothing to S, but
+    # its exponent would decide whether a Pareto tail expectation diverges
+    terms = tuple((w, i * p1 + j * p2) for w, i, j in fgm_pairs(p.copula.theta) if w)
+    if s == "max":
         # P(max > x) = S1(x) + S2(x) - P(min > x)
         terms = ((1.0, p1), (1.0, p2)) + tuple((-w, r) for w, r in terms)
     if isinstance(p.m1, ExponentialMarginal):
@@ -98,14 +96,14 @@ def extreme_cdf(p: BivariatePortfolio, s, x: float) -> float:
     """
     if isnan(x):
         raise DomainError("x must not be NaN")
-    return _mixture(p, _selector(s)).cdf(x)
+    return _mixture(p, s).cdf(x)
 
 
 def extreme_pdf(p: BivariatePortfolio, s, x: float) -> float:
     """Density of the selected extreme at x."""
     if isnan(x):
         raise DomainError("x must not be NaN")
-    return _mixture(p, _selector(s)).pdf(x)
+    return _mixture(p, s).pdf(x)
 
 
 # expand_bracket and solve_increasing are looked up on this module at call
@@ -117,21 +115,60 @@ def solve_level(law, level: float, settings: SolverSettings) -> float:
     return solve_increasing(law.cdf, level, lo, hi, settings)
 
 
-def cte_beyond(law, q: float, a: float) -> float:
-    """CTE at level a given its VaR q."""
-    return law.tail_expectation(q) / (1.0 - a)
+MEASURES = ("var", "cte", "mot")
 
 
-def law_report(law, a: float, settings: SolverSettings) -> RiskReport:
-    """VaR, CTE and MoT of a composite law; VaR is solved once."""
-    q = solve_level(law, a, settings)
+def law_tolerance(law, settings: SolverSettings) -> float:
+    """The x-axis tolerance a value of this law states: 0 in closed form."""
+    return settings.abs_tol if law.method is Method.ROOT_SOLVE else 0.0
+
+
+def law_measures(
+    law, alpha: AlphaLike, measures, settings: SolverSettings = DEFAULT_SETTINGS
+):
+    """The value of one measure (var, cte or mot) of a law at level alpha,
+    or, for a tuple or list of measures, their values in that order.
+
+    Each level is found once: VaR at alpha, which CTE reuses, and MoT at
+    (1 + alpha) / 2. A law of `Method.CLOSED_FORM` gives its quantiles and
+    CTE; any other is solved, its CTE the tail integral beyond VaR divided
+    by 1 - alpha. Raises DomainError for another measure.
+    """
+    many = isinstance(measures, (tuple, list))
+    names = tuple(measures) if many else (measures,)
+    for name in names:
+        if name not in MEASURES:
+            raise DomainError(f"measure must be var, cte or mot, got {name!r}")
+    a = level_of(alpha)
+    closed = law.method is Method.CLOSED_FORM
+    quantiles = {}
+    values = []
+    for name in names:
+        level = 0.5 * (1.0 + a) if name == "mot" else a
+        if level not in quantiles:
+            quantiles[level] = (
+                law.quantile(level) if closed else solve_level(law, level, settings)
+            )
+        q = quantiles[level]
+        if name == "cte":
+            q = law.cte_beyond(q, a) if closed else law.tail_expectation(q) / (1.0 - a)
+        values.append(q)
+    return tuple(values) if many else values[0]
+
+
+def law_report(
+    law, alpha: AlphaLike, settings: SolverSettings = DEFAULT_SETTINGS
+) -> RiskReport:
+    """VaR, CTE and MoT of a law, with the method and tolerance it states."""
+    a = level_of(alpha)
+    var, cte, mot = law_measures(law, a, MEASURES, settings)
     return RiskReport(
         alpha=Alpha(a),
-        var=q,
-        cte=cte_beyond(law, q, a),
-        mot=solve_level(law, 0.5 * (1.0 + a), settings),
-        method=Method.ROOT_SOLVE,
-        tolerance=settings.abs_tol,
+        var=var,
+        cte=cte,
+        mot=mot,
+        method=law.method,
+        tolerance=law_tolerance(law, settings),
     )
 
 
@@ -142,7 +179,7 @@ def extreme_var(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Value at risk of the selected extreme, by bracketed root solve."""
-    return solve_level(_mixture(p, _selector(s)), level_of(alpha), settings)
+    return law_measures(_mixture(p, s), alpha, "var", settings)
 
 
 def extreme_mot(
@@ -152,8 +189,7 @@ def extreme_mot(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> float:
     """Median of the tail beyond VaR: solves F(M) = (1 + alpha) / 2."""
-    level = 0.5 * (1.0 + level_of(alpha))
-    return solve_level(_mixture(p, _selector(s)), level, settings)
+    return law_measures(_mixture(p, s), alpha, "mot", settings)
 
 
 def extreme_cte(
@@ -170,9 +206,7 @@ def extreme_cte(
         DivergentTail: for Pareto marginals whose tail exponents make the
             conditional expectation infinite.
     """
-    a = level_of(alpha)
-    law = _mixture(p, _selector(s))
-    return cte_beyond(law, solve_level(law, a, settings), a)
+    return law_measures(_mixture(p, s), alpha, "cte", settings)
 
 
 def extreme_report(
@@ -182,4 +216,4 @@ def extreme_report(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> RiskReport:
     """All three measures of the selected extreme at one confidence level."""
-    return law_report(_mixture(p, _selector(s)), level_of(alpha), settings)
+    return law_report(_mixture(p, s), alpha, settings)

@@ -1,9 +1,10 @@
 """Exponential and Pareto loss marginals with closed-form risk measures.
 
 All single-risk measures (VaR, CTE, MoT) have exact closed forms for the
-two families in scope, so nothing here touches the root solver. The scalar
-measures (`var`, `cte`, `mot`, `report`) compute in `math`; the array
-helpers (`cdf`, `pdf`, `quantile`) accept scalars or numpy arrays for
+two families in scope, held by `MarginalLaw`, so no marginal measure
+solves. The scalar measures (`var`, `cte`, `mot`, `report`) compute in
+`math`, through `extremes.law_measures` like those of every target; the
+array helpers (`cdf`, `pdf`, `quantile`) accept scalars or numpy arrays for
 sampling and import numpy on their first call, not with the module. The
 sampler calls the quantile kernel `_quantile_into` directly, in place;
 `quantile` is its allocating, checking wrapper.
@@ -173,23 +174,50 @@ def _quantile_into(m: Marginal, p, out):
     return out
 
 
-def _level_quantile(m: Marginal, a: float) -> float:
-    """The quantile at one level a in (0, 1), in math: `quantile`'s formulas."""
-    if not a < 1.0:  # (1 + alpha)/2 rounds to 1 for the largest alpha
-        raise DomainError("quantile level must lie in [0, 1)")
-    if _dispatch(m) == "exp":
-        # 1 - a is exact for a >= 1/2, where log(1 - a) rounds correctly
-        # more often than log1p(-a)
-        return -(math.log(1.0 - a) if a >= 0.5 else math.log1p(-a)) / m.rate
-    try:
-        return m.x0 * (1.0 - a) ** (-1.0 / m.gamma)
-    except OverflowError:  # float ** raises where numpy's power gives inf
-        return math.inf
+@dataclass(frozen=True)
+class MarginalLaw:
+    """A marginal as the law of its own target, in closed form."""
+
+    m: Marginal
+    method = Method.CLOSED_FORM
+
+    def quantile(self, a: float) -> float:
+        """The quantile at one level a in (0, 1), in math: `quantile`'s formulas."""
+        m = self.m
+        if not a < 1.0:  # (1 + alpha)/2 rounds to 1 for the largest alpha
+            raise DomainError("quantile level must lie in [0, 1)")
+        if _dispatch(m) == "exp":
+            # 1 - a is exact for a >= 1/2, where log(1 - a) rounds correctly
+            # more often than log1p(-a)
+            return -(math.log(1.0 - a) if a >= 0.5 else math.log1p(-a)) / m.rate
+        try:
+            return m.x0 * (1.0 - a) ** (-1.0 / m.gamma)
+        except OverflowError:  # float ** raises where numpy's power gives inf
+            return math.inf
+
+    def cte_beyond(self, q: float, a: float) -> float:
+        """E[X | X > q] for q the VaR at level a; see `cte`."""
+        m = self.m
+        if _dispatch(m) == "exp":
+            return 1.0 / m.rate + q
+        if m.gamma <= 1.0:
+            raise DivergentTail(
+                f"Pareto CTE requires gamma > 1, got gamma={m.gamma}"
+            )
+        return m.gamma / (m.gamma - 1.0) * q
+
+
+def _measure(m: Marginal, alpha: AlphaLike, measure: str) -> float:
+    # the one path of every measure solves the composite laws too, so it
+    # sits in `extremes`, which imports this module
+    from .extremes import law_measures
+
+    return law_measures(MarginalLaw(m), alpha, measure)
 
 
 def var(m: Marginal, alpha: AlphaLike) -> float:
     """Value at risk: the alpha-quantile, in closed form."""
-    return _level_quantile(m, level_of(alpha))
+    return _measure(m, alpha, "var")
 
 
 def cte(m: Marginal, alpha: AlphaLike) -> float:
@@ -198,21 +226,12 @@ def cte(m: Marginal, alpha: AlphaLike) -> float:
     Raises:
         DivergentTail: for a Pareto marginal with gamma <= 1.
     """
-    a = level_of(alpha)
-    q = var(m, a)
-    if _dispatch(m) == "exp":
-        return 1.0 / m.rate + q
-    if m.gamma <= 1.0:
-        raise DivergentTail(
-            f"Pareto CTE requires gamma > 1, got gamma={m.gamma}"
-        )
-    return m.gamma / (m.gamma - 1.0) * q
+    return _measure(m, alpha, "cte")
 
 
 def mot(m: Marginal, alpha: AlphaLike) -> float:
     """Median of the tail beyond VaR: the quantile at level (1 + alpha)/2."""
-    a = level_of(alpha)
-    return _level_quantile(m, 0.5 * (1.0 + a))
+    return _measure(m, alpha, "mot")
 
 
 def tail_expectation(m: Marginal, q: float) -> float:
@@ -224,12 +243,6 @@ def tail_expectation(m: Marginal, q: float) -> float:
 
 def report(m: Marginal, alpha: AlphaLike) -> RiskReport:
     """All three measures of a single marginal at one confidence level."""
-    a = Alpha(level_of(alpha))
-    return RiskReport(
-        alpha=a,
-        var=var(m, a),
-        cte=cte(m, a),
-        mot=mot(m, a),
-        method=Method.CLOSED_FORM,
-        tolerance=0.0,
-    )
+    from .extremes import law_report  # as in _measure
+
+    return law_report(MarginalLaw(m), alpha)

@@ -9,10 +9,11 @@ Monte Carlo estimate by far more than sampling error, so the published
 entries themselves appear to be misprints). Computed output never
 substitutes a published value: tables always carry both plus their delta.
 
-`build_portfolio` assembles one `BivariatePortfolio` per family and theta,
-and `compute_measure` measures any target on it: a marginal (x1, x2), the
-minimum, the maximum or the sum. Only the sum's law restricts the family:
-it raises DomainError for Pareto marginals.
+`build_portfolio` assembles one `BivariatePortfolio` per family and theta.
+`law_of` gives the law of any target on it: a marginal (x1, x2), the
+minimum, the maximum or the sum; only the sum's law restricts the family,
+raising DomainError for Pareto marginals. `compute_measure` measures that
+law through `extremes.law_measures`, the one path of every measure.
 """
 
 from __future__ import annotations
@@ -20,16 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .aggregate import aggregate_cte, aggregate_mot, aggregate_var
+from .aggregate import _SumLaw
 from .copula import FgmCopula
 from .errors import DomainError
-from .extremes import (
-    BivariatePortfolio,
-    extreme_cte,
-    extreme_mot,
-    extreme_var,
-)
-from .marginals import ExponentialMarginal, ParetoMarginal, cte, mot, var
+from .extremes import BivariatePortfolio, _mixture, law_measures
+from .marginals import ExponentialMarginal, MarginalLaw, ParetoMarginal
 from .numerics import DEFAULT_SETTINGS, SolverSettings
 
 DEFAULT_THETA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -129,30 +125,31 @@ def build_portfolio(
     return BivariatePortfolio(m1, m2, FgmCopula(theta))
 
 
+def law_of(portfolio: BivariatePortfolio, target: str):
+    """The law of x1, x2, min, max or sum on the portfolio."""
+    if target in ("x1", "x2"):
+        return MarginalLaw(portfolio.m1 if target == "x1" else portfolio.m2)
+    if target in ("min", "max"):
+        return _mixture(portfolio, target)
+    if target == "sum":
+        return _SumLaw(portfolio)
+    raise DomainError(f"target must be x1, x2, min, max or sum, got {target!r}")
+
+
 def compute_measure(
     portfolio: BivariatePortfolio,
     target: str,
-    measure: str,
+    measure,
     alpha: float,
     settings: SolverSettings = DEFAULT_SETTINGS,
-) -> float:
-    """Evaluate one measure for one target on an assembled portfolio.
+):
+    """One measure of one target on a portfolio, or a tuple of measures'
+    values in the order asked: `law_measures` on `law_of`.
 
-    Raises DomainError for a measure other than var, cte or mot, and for a
-    sum of marginals that are not exponential.
+    Raises DomainError for an unknown target or measure, and for a sum of
+    marginals that are not exponential.
     """
-    if measure not in ("var", "cte", "mot"):
-        raise DomainError(f"measure must be var, cte or mot, got {measure!r}")
-    if target in ("x1", "x2"):
-        m = portfolio.m1 if target == "x1" else portfolio.m2
-        return {"var": var, "cte": cte, "mot": mot}[measure](m, alpha)
-    if target == "sum":
-        fn = {"var": aggregate_var, "cte": aggregate_cte, "mot": aggregate_mot}[
-            measure
-        ]
-        return fn(portfolio, alpha, settings)
-    fn = {"var": extreme_var, "cte": extreme_cte, "mot": extreme_mot}[measure]
-    return fn(portfolio, target, alpha, settings)
+    return law_measures(law_of(portfolio, target), alpha, measure, settings)
 
 
 def _printed_value(tdef: TableDef, theta: float) -> Optional[float]:

@@ -297,6 +297,24 @@ class TestExtremeCte:
         # VaR stays finite even when the tail expectation does not exist
         assert extreme_var(thin, "min", 0.9) > 1.0
 
+    def test_zero_weight_terms_do_not_decide_divergence(self):
+        # at theta = -1 the min's (1 + theta) term, of exponent g1 + g2,
+        # weighs exactly 0 and is dropped; its CTE is finite (the value is
+        # checked against the mpmath oracle in test_oracle.py)
+        def pareto(theta, g1, g2):
+            return BivariatePortfolio(
+                ParetoMarginal(1.0, g1), ParetoMarginal(1.0, g2), FgmCopula(theta)
+            )
+
+        assert math.isfinite(extreme_cte(pareto(-1.0, 0.45, 0.45), "min", 0.9))
+        # a weight near 0 is kept, and that tail does diverge
+        with pytest.raises(DivergentTail):
+            extreme_cte(pareto(-0.999, 0.45, 0.45), "min", 0.9)
+        # the max keeps S1 and S2, so a marginal exponent <= 1 diverges
+        for g1 in (0.45, 1.0):
+            with pytest.raises(DivergentTail):
+                extreme_cte(pareto(-1.0, g1, 3.0), "max", 0.9)
+
     def test_steep_tails_at_small_scale(self):
         # exponents 45 and 40 at x0 = 0.01 give the (2, 2) survival term
         # x0^170 * x^-170, whose two factors leave the float range apart.

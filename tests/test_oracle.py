@@ -104,3 +104,20 @@ def test_verify_grid_analytic_values(reference):
     assert len(errors) == 90
     worst = max(errors, key=errors.get)
     assert errors[worst] < REL_TOL, (worst, errors[worst])
+
+
+@pytest.mark.parametrize(
+    "gammas, want",
+    [((0.45, 0.45), 33.22704961902782), ((0.6, 0.3), 45.68750939767206)],
+)
+def test_countermonotone_pareto_min_cte_is_finite(monkeypatch, gammas, want):
+    # at theta = -1 the (1 + theta) term of the min has weight 0, so its
+    # exponent g1 + g2 <= 1 does not make the tail expectation diverge
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import oracle
+
+    p = build_portfolio("pareto", -1.0, pareto_x0=1.0, pareto_gammas=gammas)
+    got = compute_measure(p, "min", "cte", 0.9)
+    ref = oracle.reference("pareto", "min", *gammas, 1.0, -1.0, 0.9)[1]
+    assert _rel(got, ref) < REL_TOL
+    assert _rel(got, want) < REL_TOL

@@ -6,7 +6,7 @@ its fields are exactly the values the single-measure functions return.
 
 import pytest
 
-from copula_risk import extremes
+from copula_risk import cli, extremes
 from copula_risk.aggregate import (
     AggregateExpPortfolio,
     aggregate_cte,
@@ -77,3 +77,23 @@ def test_aggregate_report_matches_measures(theta, alpha):
     assert r.var == aggregate_var(p, alpha)
     assert r.cte == aggregate_cte(p, alpha)
     assert r.mot == aggregate_mot(p, alpha)
+
+
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        # one report per (target, alpha): VaR and MoT, over 8 exponential
+        # (theta, alpha) cells of 3 targets and 3 Pareto cells of 2
+        (["verify", "--mc-n", "2000"], 60),
+        # one VaR per theta, which the CTE beside it reuses
+        (["figure", "1"], 5),
+        (["figure", "3"], 5),
+        (["table", "2"], 5),
+        (["measure", "--dist", "exp", "--target", "min", "--measure", "cte"], 1),
+    ],
+    ids=["verify", "figure-1", "figure-3", "table-2", "measure-cte"],
+)
+def test_cli_solves_each_level_once(solved_levels, capsys, argv, solves):
+    assert cli.main(argv) in (0, 1)
+    capsys.readouterr()
+    assert len(solved_levels) == solves

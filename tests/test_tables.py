@@ -1,6 +1,7 @@
 import pytest
 
 from copula_risk.errors import DomainError
+from copula_risk.marginals import MarginalLaw, Method
 from copula_risk.tables import (
     DEFAULT_THETA_GRID,
     FIGURES,
@@ -9,6 +10,7 @@ from copula_risk.tables import (
     build_portfolio,
     compute_measure,
     compute_table,
+    law_of,
 )
 
 # Full-precision recomputation of all 15 tables by an external oracle
@@ -116,3 +118,38 @@ def test_build_portfolio_rejects_pareto_sum():
 def test_unknown_measure_is_a_domain_error(target):
     with pytest.raises(DomainError, match="'foo'"):
         compute_measure(build_portfolio("exp", 0.5), target, "foo", 0.9)
+
+
+TARGETS = ("x1", "x2", "min", "max", "sum")
+
+
+def test_law_of_every_target_states_its_method():
+    p = build_portfolio("exp", 0.5)
+    assert law_of(p, "x1") == MarginalLaw(p.m1)
+    assert law_of(p, "x2") == MarginalLaw(p.m2)
+    for target in TARGETS:
+        solved = target in ("min", "max", "sum")
+        want = Method.ROOT_SOLVE if solved else Method.CLOSED_FORM
+        assert law_of(p, target).method is want
+
+
+@pytest.mark.parametrize("measure", ["var", ("var", "cte", "mot")])
+def test_unknown_target_names_all_five(measure):
+    p = build_portfolio("exp", 0.5)
+    with pytest.raises(DomainError, match="x1, x2, min, max or sum, got 'x3'"):
+        law_of(p, "x3")
+    with pytest.raises(DomainError, match="x1, x2, min, max or sum, got 'x3'"):
+        compute_measure(p, "x3", measure, 0.9)
+
+
+@pytest.mark.parametrize(
+    "family, target",
+    [(f, t) for f in ("exp", "pareto") for t in TARGETS if (f, t) != ("pareto", "sum")],
+)
+def test_a_tuple_of_measures_gives_each_value_in_order(family, target):
+    p = build_portfolio(family, -0.4)
+    order = ("mot", "var", "cte", "var")
+    values = compute_measure(p, target, order, 0.95)
+    assert values == tuple(compute_measure(p, target, m, 0.95) for m in order)
+    with pytest.raises(DomainError, match="'foo'"):
+        compute_measure(p, target, ("var", "foo"), 0.95)
