@@ -9,8 +9,9 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
 Error records are emitted as one JSON object on stderr.
 
-`verify` samples, derives and selects each batch on the calling thread and
-at most one thread started for each stage (`mc_oracle._drain`). Those
+`verify` samples and selects each batch on the calling thread and at most
+one thread started for each of those two stages (`mc_oracle._drain`), and
+derives the min, max and sum on the calling thread alone. The started
 threads run only numpy kernels; the samplers, estimators and analytic
 solves are called through this module's names on the calling thread,
 where the benchmark's layer tracing rebinds them.
@@ -29,7 +30,6 @@ from .errors import CopulaRiskError, DomainError, LowTailCount
 from .extremes import law_measures, law_tolerance
 from .marginals import level_of
 from .mc_oracle import (
-    _BLOCK,
     _drain,
     _order_stat_estimate,
     _read_window,
@@ -216,27 +216,6 @@ def _select_tail(xs, first: int) -> None:
     xs[first:].sort()
 
 
-def _derive_targets(chunks, pairs, buf, with_sum: bool) -> None:
-    """Turn each chunk of rows of pairs into (min, max) and, with_sum,
-    write x1 + x2 into the same rows of buf.
-
-    buf doubles as the scratch that holds the min while the max is
-    written over x2; min + max is bitwise x1 + x2, as IEEE addition
-    commutes.
-    """
-    import numpy as np
-
-    for start in chunks:
-        x1 = pairs[start:start + _BLOCK, 0]
-        x2 = pairs[start:start + _BLOCK, 1]
-        c = buf[start:start + _BLOCK]
-        np.minimum(x1, x2, out=c)
-        np.maximum(x1, x2, out=x2)
-        x1[...] = c
-        if with_sum:
-            np.add(x1, x2, out=c)
-
-
 def _select_slots(slots, first: int) -> None:
     """`_select_tail` each target sample taken off the shared queue."""
     for xs in slots:
@@ -248,16 +227,17 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
     """Records of the Monte Carlo cross-check of min, max and sum targets.
 
     Per theta, the batch from `sample_pairs` goes through three stages.
-    (1) Its rows, in 65,536-row chunks, are turned in place into the min
-    (column 0) and the max (column 1), and the sum is written into one
-    n-float buffer reused by every batch. `_verify_cells` owns the batch
-    it drew, so it re-enables writes on `batch.pairs`, an array that owns
-    its data. (2) Each target's sample is partitioned at `_first_read`
-    and its tail sorted in place, while the caller solves the analytic
-    values. (3) The caller runs the estimators and builds the records,
-    per target, alpha and measure. Stages 1 and 2 run on
-    `mc_oracle._drain`; its pool threads run only numpy kernels, so every
-    traced name is called through this module, on the calling thread.
+    (1) On the calling thread, three whole-array passes derive the targets:
+    the min goes into one n-float buffer reused by every batch, the max
+    over column 0 and, when the sum is a target, min + max (bitwise
+    x1 + x2, as IEEE addition commutes) over column 1. `_verify_cells`
+    owns the batch it drew, so it re-enables writes on `batch.pairs`, an
+    array that owns its data. (2) Each target's sample is partitioned at
+    `_first_read` and its tail sorted in place on `mc_oracle._drain`, while
+    the caller solves the analytic values. (3) The caller runs the
+    estimators and builds the records, per target, alpha and measure. The
+    pool threads of `_drain` run only numpy kernels, so every traced name
+    is called through this module, on the calling thread.
 
     Raises:
         DomainError: for mc_n < 1, or a target other than min, max or sum.
@@ -274,18 +254,22 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
     records = []
     first = _first_read(mc_n, alphas)
     levels = [level_of(alpha) for alpha in alphas]
-    # the sum of every batch, or the min while it is derived, is written
-    # into this one array; nothing else of n floats is allocated
+    # the min of every batch is written into this one array; nothing else
+    # of n floats is allocated
     buf = np.empty(mc_n)
     for stream, theta in enumerate(thetas, start=stream_base):
         portfolio = build_portfolio(family, theta)
-        # drop the last theta's pairs before drawing this theta's
-        batch = samples = xs = None
+        # drop the last theta's pairs, and every view of them, before
+        # drawing this theta's
+        batch = x1 = x2 = samples = xs = None
         batch = sample_pairs(portfolio, mc_n, seed, stream=stream)
         batch.pairs.setflags(write=True)
-        _drain(_derive_targets, deque(range(0, mc_n, _BLOCK)),
-               batch.pairs, buf, "sum" in targets)
-        samples = {"min": batch.x1, "max": batch.x2, "sum": buf}
+        x1, x2 = batch.x1, batch.x2
+        np.minimum(x1, x2, out=buf)
+        np.maximum(x1, x2, out=x1)
+        if "sum" in targets:
+            np.add(buf, x1, out=x2)
+        samples = {"min": buf, "max": x1, "sum": x2}
         solved = {}
 
         def solve():

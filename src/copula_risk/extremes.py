@@ -132,7 +132,8 @@ def law_measures(
     Each level is found once: VaR at alpha, which CTE reuses, and MoT at
     (1 + alpha) / 2. A law of `Method.CLOSED_FORM` gives its quantiles and
     CTE; any other is solved, its CTE the tail integral beyond VaR divided
-    by 1 - alpha. Raises DomainError for another measure.
+    by 1 - alpha. Raises DomainError for another measure, or where the MoT
+    level rounds to 1 (alpha within 2**-53 of 1), for every law alike.
     """
     many = isinstance(measures, (tuple, list))
     names = tuple(measures) if many else (measures,)
@@ -145,6 +146,11 @@ def law_measures(
     values = []
     for name in names:
         level = 0.5 * (1.0 + a) if name == "mot" else a
+        if not level < 1.0:  # a solved CDF rounds to 1 at some finite x
+            raise DomainError(
+                f"quantile level must lie in [0, 1), got {level!r} for "
+                f"{name} at alpha={a!r}"
+            )
         if level not in quantiles:
             quantiles[level] = (
                 law.quantile(level) if closed else solve_level(law, level, settings)

@@ -184,8 +184,6 @@ class MarginalLaw:
     def quantile(self, a: float) -> float:
         """The quantile at one level a in (0, 1), in math: `quantile`'s formulas."""
         m = self.m
-        if not a < 1.0:  # (1 + alpha)/2 rounds to 1 for the largest alpha
-            raise DomainError("quantile level must lie in [0, 1)")
         if _dispatch(m) == "exp":
             # 1 - a is exact for a >= 1/2, where log(1 - a) rounds correctly
             # more often than log1p(-a)

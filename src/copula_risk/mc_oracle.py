@@ -11,12 +11,13 @@ among at most two threads, the caller and one started for the batch
 takes the next block from a shared queue, so a thread on a slower CPU
 takes fewer; since no block's bits depend on which thread runs it or
 when, the result equals a serial run. `_drain` holds that queue-and-
-threads scheme, and `verify` runs its per-batch stages on it too. Each
-block is written in place, at its own rows, into one preallocated
-column-major (n, 2) array, so both columns are contiguous and nothing
-is concatenated. A full block draws u straight into its stretch of the
-x1 column and w into its stretch of x2; the copula kernel then turns w
-into v in place and the marginal kernels map both columns in place.
+threads scheme, and `verify` selects each batch's order statistics on it
+too. Each block is written in place, at its own rows, into one
+preallocated column-major (n, 2) array, so both columns are contiguous
+and nothing is concatenated. A full block draws u straight into its
+stretch of the x1 column and w into its stretch of x2; the copula kernel
+then turns w into v in place (at theta = 0, where v = w bit for bit, it
+is skipped) and the marginal kernels map both columns in place.
 Each thread has a workspace of two block-sized arrays, the copula
 kernel's scratch, into which the last, partial block also draws before
 copying what it keeps. So sampling allocates nothing per block, and a
@@ -126,7 +127,8 @@ def sample_pairs(
 
 def _drain(work, jobs: deque, *args, caller_first=None) -> None:
     """Run work(taken, *args) on the caller and on pool threads until
-    jobs is empty.
+    jobs is empty: the blocks of `sample_pairs`, or the target samples
+    whose tails `verify` selects.
 
     Each thread's `taken` yields jobs popped off the shared deque (pops
     are thread-safe), so a thread on a slower CPU takes fewer. There are
@@ -191,7 +193,12 @@ def _sample_blocks(jobs, portfolio: BivariatePortfolio, pairs) -> None:
             rng.random(_BLOCK, out=t)
             x1[...] = s[:take]
             x2[...] = t[:take]
-        _conditional_quantile_into(theta, x1, x2, s[:take], t[:take], _V_CAP)
+        # at theta = +-0, a = +-0 and the denominator is exactly 2, so the
+        # kernel returns v = 2w/2 = w <= _V_CAP, bit for bit
+        if theta:
+            _conditional_quantile_into(
+                theta, x1, x2, s[:take], t[:take], _V_CAP
+            )
         _quantile_into(portfolio.m1, x1, x1)
         _quantile_into(portfolio.m2, x2, x2)
 

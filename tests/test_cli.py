@@ -524,7 +524,7 @@ class TestVerifyWorkers:
         select = cli._select_tail
 
         def failing(xs, first):
-            # the max is written over the x2 column
+            # the sum is written over the x2 column
             if np.may_share_memory(xs, batches[-1].x2):
                 raise ValueError("injected")
             select(xs, first)

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from copula_risk import cli, mc_oracle
-from copula_risk.copula import FgmCopula, conditional_quantile, rectangle_mass
+from copula_risk.copula import (
+    FgmCopula,
+    _conditional_quantile_into,
+    conditional_quantile,
+    rectangle_mass,
+)
 from copula_risk.errors import DomainError, LowTailCount
 from copula_risk.extremes import BivariatePortfolio, extreme_var
 from copula_risk.marginals import (
@@ -294,6 +299,42 @@ class TestParallelSampling:
         assert raised.is_set()
         assert [str(e) for e in outcome] == ["injected"]
         assert threading.active_count() == baseline
+
+
+class TestThetaZero:
+    """At theta = +-0 the copula kernel is the identity, bit for bit, so
+    sampling skips it."""
+
+    @pytest.mark.parametrize("theta", [0.0, -0.0])
+    def test_kernel_leaves_draws_byte_identical(self, theta):
+        rng = np.random.default_rng(8)
+        u, w = rng.random((2, _BLOCK))
+        cap = mc_oracle._V_CAP
+        # both ends of the draws, against u below, at and above 1/2
+        u[:6] = (0.0, cap, 0.0, cap, 0.5, 0.5)
+        w[:6] = (0.0, 0.0, cap, cap, 0.0, cap)
+        wv = w.copy()
+        s, t = np.empty((2, _BLOCK))
+        _conditional_quantile_into(theta, u, wv, s, t, cap)
+        assert wv.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("theta", [0.0, -0.0])
+    @pytest.mark.parametrize("build", [exp_portfolio, pareto_portfolio])
+    def test_pairs_are_quantiles_of_raw_draws(self, build, theta):
+        portfolio = build(theta)
+        n = 2 * _BLOCK + 5
+        root = np.random.SeedSequence(entropy=11, spawn_key=(2,))
+        # each block draws a full _BLOCK of u, then of w
+        u, w = np.concatenate(
+            [np.random.default_rng(c).random((2, _BLOCK))
+             for c in root.spawn(3)],
+            axis=1,
+        )[:, :n]
+        want = np.column_stack(
+            (quantile(portfolio.m1, u), quantile(portfolio.m2, w))
+        )
+        batch = sample_pairs(portfolio, n, seed=11, stream=2)
+        assert batch.pairs.tobytes() == want.tobytes()
 
 
 class TestMarginalFidelity:

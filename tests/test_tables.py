@@ -153,3 +153,20 @@ def test_a_tuple_of_measures_gives_each_value_in_order(family, target):
     assert values == tuple(compute_measure(p, target, m, 0.95) for m in order)
     with pytest.raises(DomainError, match="'foo'"):
         compute_measure(p, target, ("var", "foo"), 0.95)
+
+
+@pytest.mark.parametrize(
+    "family, target",
+    [("exp", t) for t in TARGETS] + [("pareto", "min"), ("pareto", "max")],
+)
+@pytest.mark.parametrize("measure", ["mot", ("var", "cte", "mot")])
+def test_mot_level_rounding_to_one_is_a_domain_error(family, target, measure):
+    # (1 + alpha)/2 rounds to 1.0 for the largest alpha below 1, and a
+    # solved CDF rounds to 1.0 at a finite x (34.396 for the exp min at
+    # theta = 0.5), which must not pass for the MoT
+    alpha = 1.0 - 2.0**-53
+    p = build_portfolio(family, 0.5)
+    with pytest.raises(DomainError, match="must lie in \\[0, 1\\)"):
+        compute_measure(p, target, measure, alpha)
+    var, cte = compute_measure(p, target, ("var", "cte"), alpha)
+    assert var < cte
