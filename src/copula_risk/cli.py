@@ -265,11 +265,12 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
         batch = sample_pairs(portfolio, mc_n, seed, stream=stream)
         batch.pairs.setflags(write=True)
         x1, x2 = batch.x1, batch.x2
-        np.minimum(x1, x2, out=buf)
-        np.maximum(x1, x2, out=x1)
+        samples = {
+            "min": np.minimum(x1, x2, out=buf),
+            "max": np.maximum(x1, x2, out=x1),
+        }
         if "sum" in targets:
-            np.add(buf, x1, out=x2)
-        samples = {"min": buf, "max": x1, "sum": x2}
+            samples["sum"] = np.add(buf, x1, out=x2)
         solved = {}
 
         def solve():

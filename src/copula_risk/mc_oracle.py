@@ -16,12 +16,11 @@ too. Each block is written in place, at its own rows, into one
 preallocated column-major (n, 2) array, so both columns are contiguous
 and nothing is concatenated. A full block draws u straight into its
 stretch of the x1 column and w into its stretch of x2; the copula kernel
-then turns w into v in place (at theta = 0, where v = w bit for bit, it
-is skipped) and the marginal kernels map both columns in place.
-Each thread has a workspace of two block-sized arrays, the copula
-kernel's scratch, into which the last, partial block also draws before
-copying what it keeps. So sampling allocates nothing per block, and a
-batch's workspace is four blocks at most.
+then turns w into v in place and the marginal kernels map both columns
+in place. Each thread has a workspace of two block-sized arrays, the
+copula kernel's scratch, into which the last, partial block also draws
+before copying what it keeps. So sampling allocates nothing per block,
+and a batch's workspace is four blocks at most.
 
 numpy is imported on first use, where a batch is sampled or estimated:
 importing this module (and so the package and its CLI) does not load it.
@@ -193,12 +192,7 @@ def _sample_blocks(jobs, portfolio: BivariatePortfolio, pairs) -> None:
             rng.random(_BLOCK, out=t)
             x1[...] = s[:take]
             x2[...] = t[:take]
-        # at theta = +-0, a = +-0 and the denominator is exactly 2, so the
-        # kernel returns v = 2w/2 = w <= _V_CAP, bit for bit
-        if theta:
-            _conditional_quantile_into(
-                theta, x1, x2, s[:take], t[:take], _V_CAP
-            )
+        _conditional_quantile_into(theta, x1, x2, s[:take], t[:take], _V_CAP)
         _quantile_into(portfolio.m1, x1, x1)
         _quantile_into(portfolio.m2, x2, x2)
 

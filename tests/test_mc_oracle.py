@@ -96,7 +96,13 @@ class TestSampling:
         "n", [1, 1000, _BLOCK, _BLOCK + 3, 3 * _BLOCK - 5]
     )
     @pytest.mark.parametrize(
-        "portfolio", [exp_portfolio(-1.0), pareto_portfolio(0.5)]
+        "portfolio",
+        [
+            exp_portfolio(-1.0),
+            pareto_portfolio(0.5),
+            exp_portfolio(0.0),
+            pareto_portfolio(-0.0),
+        ],
     )
     def test_matches_concatenated_blocks(self, portfolio, n):
         batch = sample_pairs(portfolio, n, seed=17, stream=3)
@@ -302,8 +308,7 @@ class TestParallelSampling:
 
 
 class TestThetaZero:
-    """At theta = +-0 the copula kernel is the identity, bit for bit, so
-    sampling skips it."""
+    """At theta = +-0 the copula kernel is the identity, bit for bit."""
 
     @pytest.mark.parametrize("theta", [0.0, -0.0])
     def test_kernel_leaves_draws_byte_identical(self, theta):
@@ -317,24 +322,6 @@ class TestThetaZero:
         s, t = np.empty((2, _BLOCK))
         _conditional_quantile_into(theta, u, wv, s, t, cap)
         assert wv.tobytes() == w.tobytes()
-
-    @pytest.mark.parametrize("theta", [0.0, -0.0])
-    @pytest.mark.parametrize("build", [exp_portfolio, pareto_portfolio])
-    def test_pairs_are_quantiles_of_raw_draws(self, build, theta):
-        portfolio = build(theta)
-        n = 2 * _BLOCK + 5
-        root = np.random.SeedSequence(entropy=11, spawn_key=(2,))
-        # each block draws a full _BLOCK of u, then of w
-        u, w = np.concatenate(
-            [np.random.default_rng(c).random((2, _BLOCK))
-             for c in root.spawn(3)],
-            axis=1,
-        )[:, :n]
-        want = np.column_stack(
-            (quantile(portfolio.m1, u), quantile(portfolio.m2, w))
-        )
-        batch = sample_pairs(portfolio, n, seed=11, stream=2)
-        assert batch.pairs.tobytes() == want.tobytes()
 
 
 class TestMarginalFidelity:
