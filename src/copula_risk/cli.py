@@ -11,10 +11,10 @@ Error records are emitted as one JSON object on stderr.
 
 `verify` samples and selects each batch on the calling thread and at most
 one thread started for each of those two stages (`mc_oracle._drain`), and
-derives the min, max and sum on the calling thread alone. The started
-threads run only numpy kernels; the samplers, estimators and analytic
-solves are called through this module's names on the calling thread,
-where the benchmark's layer tracing rebinds them.
+derives the min, max and sum and solves the analytic values on the calling
+thread alone. The started threads run only numpy kernels; the samplers,
+estimators and analytic solves are called through this module's names on
+the calling thread, where the benchmark's layer tracing rebinds them.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from pathlib import Path
 
 from .errors import CopulaRiskError, DomainError, LowTailCount
 from .extremes import law_measures, law_tolerance
-from .marginals import level_of
+from .marginals import _mot_level, level_of
 from .mc_oracle import (
     _drain,
+    _first_read,
     _order_stat_estimate,
-    _read_window,
+    _select_tail,
     _tail_mean_estimate,
     sample_pairs,
 )
@@ -189,33 +190,6 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def _first_read(n: int, alphas) -> int:
-    """Lowest 0-based order statistic the estimators read at any alpha.
-
-    VaR and MoT read `_read_window` at the levels alpha and (1 + alpha)/2;
-    CTE reads ceil(alpha*n), the window's point at alpha, and the values
-    above it.
-    """
-    first = n - 1
-    for a in map(level_of, alphas):
-        for lv in (a, 0.5 * (1.0 + a)):
-            first = min(first, _read_window(n, lv)[1] - 1)
-    return first
-
-
-def _select_tail(xs, first: int) -> None:
-    """Put the order statistics of xs from `first` up in place.
-
-    Afterwards everything below index `first` is at most the value there,
-    in no particular order, and everything from there up is sorted: each
-    index an estimator reads holds what a full sort puts there, and the
-    values above any order statistic at or past `first` come in the same
-    order.
-    """
-    xs.partition(first)
-    xs[first:].sort()
-
-
 def _select_slots(slots, first: int) -> None:
     """`_select_tail` each target sample taken off the shared queue."""
     for xs in slots:
@@ -233,11 +207,11 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
     x1 + x2, as IEEE addition commutes) over column 1. `_verify_cells`
     owns the batch it drew, so it re-enables writes on `batch.pairs`, an
     array that owns its data. (2) Each target's sample is partitioned at
-    `_first_read` and its tail sorted in place on `mc_oracle._drain`, while
-    the caller solves the analytic values. (3) The caller runs the
-    estimators and builds the records, per target, alpha and measure. The
-    pool threads of `_drain` run only numpy kernels, so every traced name
-    is called through this module, on the calling thread.
+    `_first_read` and its tail sorted in place on `mc_oracle._drain`.
+    (3) The caller solves the analytic values, runs the estimators and
+    builds the records, per target, alpha and measure. The pool threads
+    of `_drain` run only numpy kernels, so every traced name is called
+    through this module, on the calling thread.
 
     Raises:
         DomainError: for mc_n < 1, or a target other than min, max or sum.
@@ -271,21 +245,15 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
         }
         if "sum" in targets:
             samples["sum"] = np.add(buf, x1, out=x2)
-        solved = {}
-
-        def solve():
-            for target in targets:
-                for a in levels:
-                    solved[target, a] = compute_measure(
-                        portfolio, target, VERIFY_MEASURES, a, settings
-                    )
-
         slots = deque(samples[t] for t in dict.fromkeys(targets))
-        _drain(_select_slots, slots, first, caller_first=solve)
+        _drain(_select_slots, slots, first)
         for target in targets:
             xs = samples[target]
             for a in levels:
-                for measure, analytic in zip(VERIFY_MEASURES, solved[target, a]):
+                solved = compute_measure(
+                    portfolio, target, VERIFY_MEASURES, a, settings
+                )
+                for measure, analytic in zip(VERIFY_MEASURES, solved):
                     record = {
                         "family": family,
                         "target": target,
@@ -299,7 +267,7 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
                         if measure == "var":
                             est = _order_stat_estimate(xs, a)
                         elif measure == "mot":
-                            est = _order_stat_estimate(xs, 0.5 * (1.0 + a))
+                            est = _order_stat_estimate(xs, _mot_level(a))
                         else:
                             est = _tail_mean_estimate(xs, a, 30)
                     except LowTailCount:

@@ -32,6 +32,7 @@ from .marginals import (
     Method,
     ParetoMarginal,
     RiskReport,
+    _mot_level,
     level_of,
 )
 from .numerics import DEFAULT_SETTINGS, SolverSettings, expand_bracket, solve_increasing
@@ -145,7 +146,7 @@ def law_measures(
     quantiles = {}
     values = []
     for name in names:
-        level = 0.5 * (1.0 + a) if name == "mot" else a
+        level = _mot_level(a) if name == "mot" else a
         if not level < 1.0:  # a solved CDF rounds to 1 at some finite x
             raise DomainError(
                 f"quantile level must lie in [0, 1), got {level!r} for "

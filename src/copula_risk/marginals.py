@@ -73,6 +73,11 @@ def level_of(alpha: AlphaLike) -> float:
     return a
 
 
+def _mot_level(a: float) -> float:
+    """The level (1 + a)/2 whose quantile is the MoT at a level a."""
+    return 0.5 * (1.0 + a)
+
+
 class Method(str, Enum):
     """How a reported measure was computed."""
 

@@ -22,6 +22,10 @@ copula kernel's scratch, into which the last, partial block also draws
 before copying what it keeps. So sampling allocates nothing per block,
 and a batch's workspace is four blocks at most.
 
+The estimators read a sample's order statistics from `_first_read` up;
+`_select_tail` puts those in place as a full sort would, for `verify`'s
+target samples and for the copy that each `empirical_*` takes.
+
 numpy is imported on first use, where a batch is sampled or estimated:
 importing this module (and so the package and its CLI) does not load it.
 """
@@ -38,7 +42,7 @@ from typing import TYPE_CHECKING
 from .copula import _conditional_quantile_into
 from .errors import DomainError, LowTailCount
 from .extremes import BivariatePortfolio
-from .marginals import AlphaLike, _quantile_into, level_of
+from .marginals import AlphaLike, _mot_level, _quantile_into, level_of
 
 # Sampling calls the in-place kernels above. The benchmark's layer tracing
 # (perfbench/tracing.py) still rebinds these two public names on this
@@ -124,7 +128,7 @@ def sample_pairs(
     return SampleBatch(pairs=pairs, seed=seed, n=n)
 
 
-def _drain(work, jobs: deque, *args, caller_first=None) -> None:
+def _drain(work, jobs: deque, *args) -> None:
     """Run work(taken, *args) on the caller and on pool threads until
     jobs is empty: the blocks of `sample_pairs`, or the target samples
     whose tails `verify` selects.
@@ -132,10 +136,8 @@ def _drain(work, jobs: deque, *args, caller_first=None) -> None:
     Each thread's `taken` yields jobs popped off the shared deque (pops
     are thread-safe), so a thread on a slower CPU takes fewer. There are
     min(_WORKERS, usable CPUs, len(jobs)) threads, the caller's included;
-    with one, the caller works alone and no pool is started. The caller
-    runs caller_first(), if given, before it takes jobs, while the pool
-    threads already work. Whatever a pool thread raises is raised here,
-    after every thread has stopped.
+    with one, the caller works alone and no pool is started. Whatever a
+    pool thread raises is raised here, after every thread has stopped.
     """
 
     def taken():
@@ -151,8 +153,6 @@ def _drain(work, jobs: deque, *args, caller_first=None) -> None:
         cpus = os.cpu_count() or 1
     workers = min(_WORKERS, cpus, len(jobs))
     if workers <= 1:
-        if caller_first is not None:
-            caller_first()
         work(taken(), *args)
         return
     from concurrent.futures import ThreadPoolExecutor
@@ -161,8 +161,6 @@ def _drain(work, jobs: deque, *args, caller_first=None) -> None:
         done = [
             pool.submit(work, taken(), *args) for _ in range(workers - 1)
         ]
-        if caller_first is not None:
-            caller_first()
         work(taken(), *args)
         for future in done:
             future.result()
@@ -218,15 +216,6 @@ def scalar_sample(batch: SampleBatch, target: str) -> np.ndarray:
     raise DomainError(f"unknown target {target!r}")
 
 
-def _sorted_sample(sample) -> np.ndarray:
-    import numpy as np
-
-    xs = np.sort(np.asarray(sample, dtype=float).ravel())
-    if xs.size == 0:
-        raise DomainError("sample must be nonempty")
-    return xs
-
-
 def _read_window(n: int, level: float) -> tuple[int, int, int]:
     """(r, lo, hi), 1-based: the order statistic r = ceil(level * n) and
     r -/+ k within [1, n], k one binomial standard deviation.
@@ -234,6 +223,38 @@ def _read_window(n: int, level: float) -> tuple[int, int, int]:
     r = min(max(math.ceil(level * n), 1), n)
     k = max(1, round(math.sqrt(n * level * (1.0 - level))))
     return r, max(r - k, 1), min(r + k, n)
+
+
+def _first_read(n: int, alphas) -> int:
+    """Lowest 0-based order statistic the estimators read at any alpha:
+    VaR and MoT read `_read_window` at alpha and at (1 + alpha)/2, CTE the
+    window's point at alpha and the values above it."""
+    first = n - 1
+    for a in map(level_of, alphas):
+        for lv in (a, _mot_level(a)):
+            first = min(first, _read_window(n, lv)[1] - 1)
+    return first
+
+
+def _select_tail(xs, first: int) -> None:
+    """Partition xs in place at `first` and sort it from there up, so that
+    every index from `first` on holds what a full sort puts there."""
+    xs.partition(first)
+    xs[first:].sort()
+
+
+def _selected(sample, alpha: AlphaLike) -> np.ndarray:
+    """A float copy of the sample, its tail selected for alpha; raises
+    DomainError if it is empty or holds NaN (inf is a value like any)."""
+    import numpy as np
+
+    xs = np.array(sample, dtype=float).ravel()
+    if xs.size == 0:
+        raise DomainError("sample must be nonempty")
+    _select_tail(xs, _first_read(xs.size, (alpha,)))
+    if np.isnan(xs[-1]):  # partition and sort put NaN above inf
+        raise DomainError("sample must not hold NaN")
+    return xs
 
 
 def _order_stat_estimate(xs: np.ndarray, level: float) -> EstimateWithError:
@@ -264,8 +285,8 @@ def _tail_mean_estimate(
 
     xs must hold that order statistic at its sorted index r - 1, sorted
     from there up, with nothing above it below that index (a full sort,
-    or `cli._select_tail` at or below r - 1); the tail is then the suffix
-    past the last copy of the threshold.
+    or `_select_tail` at or below r - 1); the tail is then the suffix past
+    the last copy of the threshold.
     """
     n = xs.size
     r = _read_window(n, level)[0]
@@ -288,13 +309,13 @@ def _tail_mean_estimate(
 
 def empirical_var(sample, alpha: AlphaLike) -> EstimateWithError:
     """Empirical value at risk: the order statistic at ceil(alpha * n)."""
-    return _order_stat_estimate(_sorted_sample(sample), level_of(alpha))
+    return _order_stat_estimate(_selected(sample, alpha), level_of(alpha))
 
 
 def empirical_mot(sample, alpha: AlphaLike) -> EstimateWithError:
     """Empirical tail median: the order statistic at level (1 + alpha)/2."""
     return _order_stat_estimate(
-        _sorted_sample(sample), 0.5 * (1.0 + level_of(alpha))
+        _selected(sample, alpha), _mot_level(level_of(alpha))
     )
 
 
@@ -308,5 +329,5 @@ def empirical_cte(
             VaR; below that the standard error estimate is unreliable.
     """
     return _tail_mean_estimate(
-        _sorted_sample(sample), level_of(alpha), min_tail
+        _selected(sample, alpha), level_of(alpha), min_tail
     )

@@ -268,82 +268,15 @@ def test_joint_pdf_composition():
     assert got == pytest.approx(ref, rel=1e-14)
 
 
-# --------------------------------------------------------------------------
-# High-precision oracle for the rate ratios 1, 2 and 1/2 and their
-# neighbourhoods, built from the defining densities with mpmath.
-
-_MP_DPS = 30
-
-
-def _mp_pair_survival(a, b, x, mp):
-    """P(E_a + E_b > x) for independent exponentials: hypoexponential or Erlang."""
-    if a == b:
-        return mp.exp(-a * x) * (1 + a * x)
-    return (a * mp.exp(-b * x) - b * mp.exp(-a * x)) / (a - b)
-
-
-def _mp_pair_tail(a, b, q, mp):
-    """int_q^inf P(E_a + E_b > x) dx."""
-    if a == b:
-        return mp.exp(-a * q) * (2 + a * q) / a
-    return (a * mp.exp(-b * q) / b - b * mp.exp(-a * q) / a) / (a - b)
-
-
-def _mp_components(l1, l2, theta, mp):
-    """(weight, a, b) such that S(x) = sum weight * P(E_a + E_b > x).
-
-    Multiplying out the FGM density l1*l2*s1*s2*(1 + theta*(2*s1-1)*(2*s2-1))
-    gives terms c_ij * l1*s1^i * l2*s2^j for i, j in {1, 2}, with
-    c_ij = [i = j = 1] + theta*k_i*k_j, k_1 = -1, k_2 = 2. The term
-    l1*s1^i * l2*s2^j is 1/(i*j) times the density of the independent pair
-    Exp(i*l1), Exp(j*l2), whose sum has the pair survival above.
-    """
-    k = {1: -1, 2: 2}
-    l1, l2, th = mp.mpf(l1), mp.mpf(l2), mp.mpf(theta)
-    return [
-        (((1 if i == j == 1 else 0) + th * k[i] * k[j]) / (i * j), i * l1, j * l2)
-        for i in (1, 2)
-        for j in (1, 2)
-    ]
-
-
-def _mp_bisect(f, level, l1, l2, mp):
-    """Quantile of X1 + X2 by bisection on a bracket that always holds it.
-
-    X1 + X2 >= max(X1, X2) gives the lower end; P(X1 + X2 > q1 + q2) <=
-    P(X1 > q1) + P(X2 > q2) with the marginal quantiles at (1 + level)/2
-    gives the upper end.
-    """
-    lo = -mp.log1p(-level) / min(l1, l2)
-    hi = -mp.log1p(-(1 + level) / 2) * (1 / l1 + 1 / l2)
-    while hi - lo > hi * mp.mpf(10) ** (-22):
-        mid = (lo + hi) / 2
-        if f(mid) >= level:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2
-
-
-def mp_sum_measures(l1, l2, theta, alpha):
-    """(VaR, CTE, MoT) of X1 + X2 to about 20 digits, as floats."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(_MP_DPS):
-        comps = _mp_components(l1, l2, theta, mpmath)
-
-        def cdf(x):
-            return 1 - sum(w * _mp_pair_survival(a, b, x, mpmath) for w, a, b in comps)
-
-        a = mpmath.mpf(alpha)
-        l1, l2 = mpmath.mpf(l1), mpmath.mpf(l2)
-        var = _mp_bisect(cdf, a, l1, l2, mpmath)
-        tail = sum(w * _mp_pair_tail(p, q, var, mpmath) for w, p, q in comps)
-        cte = var + tail / (1 - a)
-        mot = _mp_bisect(cdf, (1 + a) / 2, l1, l2, mpmath)
-        return float(var), float(cte), float(mot)
-
-
 HYPERPLANE_RATIOS = (1.0, 2.0, 0.5, 1.0 + 2e-6, 2.0 * (1.0 + 2e-6), 0.5 * (1.0 + 2e-6))
+
+
+def sum_reference(oracle, l1, l2, theta, alpha):
+    """(VaR, CTE, MoT) of X1 + X2 from the 60-digit oracle, as floats; its
+    pairs at equal rates are the Erlang closed form."""
+    return tuple(
+        map(float, oracle.reference("exp", "sum", l1, l2, 0.0, theta, alpha))
+    )
 
 
 class TestHyperplanes:
@@ -351,37 +284,29 @@ class TestHyperplanes:
 
     @pytest.mark.parametrize("ratio", HYPERPLANE_RATIOS)
     @pytest.mark.parametrize("theta", [-1.0, -0.4, 0.0, 0.7, 1.0])
-    def test_report_within_stated_tolerance(self, ratio, theta):
+    def test_report_within_stated_tolerance(self, oracle, ratio, theta):
         l1 = 0.5
         p = portfolio(theta, l1, l1 * ratio)
         for alpha in (0.5, 0.9, 0.99):
-            var, cte, mot = mp_sum_measures(l1, l1 * ratio, theta, alpha)
+            var, cte, mot = sum_reference(oracle, l1, l1 * ratio, theta, alpha)
             r = aggregate_report(p, alpha)
             assert r.method is Method.ROOT_SOLVE
             assert abs(r.var - var) <= r.tolerance
             assert abs(r.mot - mot) <= r.tolerance
             assert r.cte == pytest.approx(cte, rel=1e-12)
 
-    def test_near_equal_rates_var(self):
+    def test_near_equal_rates_var(self, oracle):
         # at l2/l1 - 1 = 2e-6 the cancelling coefficients of the plain
         # hypoexponential form cost about 1e-11 on the x axis
         p = portfolio(0.5, 0.5, 0.5 * (1.0 + 2e-6))
-        var, _, _ = mp_sum_measures(0.5, 0.5 * (1.0 + 2e-6), 0.5, 0.9)
+        var, _, _ = sum_reference(oracle, 0.5, 0.5 * (1.0 + 2e-6), 0.5, 0.9)
         assert abs(aggregate_var(p, 0.9) - var) <= 1e-13 * var
 
-    def test_small_equal_rates_are_erlang(self):
-        # Erlang(2, l) quantile: l*q = -1 - W_{-1}(-(1 - alpha)/e)
-        mpmath = pytest.importorskip("mpmath")
+    def test_small_equal_rates_are_erlang(self, oracle):
+        # the oracle's self-checks hold its equal-rate sum at theta = 0 to
+        # the Erlang(2, l) closed form, inverted with Lambert W
         lam = 1e-4
-        with mpmath.workdps(_MP_DPS):
-            def erlang_q(level):
-                w = mpmath.lambertw(-(1 - mpmath.mpf(level)) / mpmath.e, -1)
-                return float((-1 - mpmath.re(w)) / lam)
-
-            var, mot = erlang_q(0.9), erlang_q(0.95)
-            cte = float(
-                var + mpmath.exp(-lam * var) * (2 + lam * var) / (lam * 0.1)
-            )
+        var, cte, mot = sum_reference(oracle, lam, lam, 0.0, 0.9)
         r = aggregate_report(portfolio(0.0, lam, lam), 0.9)
         assert r.var == pytest.approx(var, rel=1e-14)
         assert r.cte == pytest.approx(cte, rel=1e-13)

@@ -18,11 +18,13 @@ from copula_risk.extremes import BivariatePortfolio, extreme_var
 from copula_risk.marginals import (
     ExponentialMarginal,
     ParetoMarginal,
+    _mot_level,
     cdf as marginal_cdf,
     quantile,
 )
 from copula_risk.mc_oracle import (
     _BLOCK,
+    _order_stat_estimate,
     _tail_mean_estimate,
     EstimateWithError,
     SampleBatch,
@@ -390,6 +392,30 @@ class TestEmpiricalEstimators:
         with pytest.raises(DomainError):
             empirical_mot(self.SAMPLE_100, 0.0)
 
+    @pytest.mark.parametrize("estimator", [
+        empirical_var, empirical_mot,
+        lambda xs, a: empirical_cte(xs, a, min_tail=5),
+    ])
+    @pytest.mark.parametrize("where", [0, 50, 99])
+    def test_nan_raises(self, estimator, where):
+        # unchecked, NaN ranks above every value: VaR 91 at alpha = 0.9
+        xs = self.SAMPLE_100.copy()
+        xs[where] = np.nan
+        with pytest.raises(DomainError, match="NaN"):
+            estimator(xs, 0.9)
+        with pytest.raises(DomainError, match="NaN"):
+            estimator([np.nan], 0.9)
+
+    # the tail's variance is inf - inf, NaN, with a RuntimeWarning
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_inf_is_the_largest_value(self):
+        xs = self.SAMPLE_100.copy()
+        xs[0] = np.inf
+        assert empirical_var(xs, 0.9).point == 91.0
+        assert empirical_mot(xs, 0.9).point == 96.0
+        assert empirical_cte(xs, 0.9, min_tail=5).point == np.inf
+        assert xs[0] == np.inf  # the caller's sample is left as it was
+
     def test_estimates_near_published_values(self):
         batch = sample_pairs(exp_portfolio(0.5), 1_000_000, seed=41)
         mn = scalar_sample(batch, "min")
@@ -427,6 +453,46 @@ class TestEmpiricalEstimators:
         assert abs(z.mean()) < 0.6
         assert 0.6 < z.std(ddof=1) < 1.5
         assert max(abs(z)) < 4.0
+
+
+class TestEmpiricalSelection:
+    """`empirical_*` select the tail they read; a full sort gives the same
+    estimates, bit for bit."""
+
+    ALPHAS = (1e-9, 1e-3, 0.3, 0.5, 0.9, 0.95, 0.999)
+
+    @staticmethod
+    def full_sort(xs, a, min_tail):
+        xs = np.sort(xs)
+        try:
+            cte = _tail_mean_estimate(xs, a, min_tail)
+        except LowTailCount as exc:
+            cte = str(exc)
+        return (
+            _order_stat_estimate(xs, a),
+            _order_stat_estimate(xs, _mot_level(a)),
+            cte,
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 2**16 + 3, 10**6])
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_equals_full_sort(self, n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "continuous":
+            sample = rng.exponential(size=n)
+        else:  # few distinct values, so every order statistic is tied
+            sample = rng.integers(0, 7, n).astype(float)
+        before = sample.copy()
+        for a in self.ALPHAS:
+            want = self.full_sort(sample, a, 2)
+            try:
+                cte = empirical_cte(sample, a, min_tail=2)
+            except LowTailCount as exc:
+                cte = str(exc)
+            got = (empirical_var(sample, a), empirical_mot(sample, a), cte)
+            assert repr(got) == repr(want), a
+            assert got == want, a
+        np.testing.assert_array_equal(sample, before)
 
 
 def _masked_tail_mean(xs, level, min_tail):

@@ -8,15 +8,11 @@ table that the min, max and sum laws read, on a fixed grid: the cells of
 the 15 published tables and the analytic values of the `verify` grid.
 """
 
-from pathlib import Path
-
 import pytest
 
-pytest.importorskip("mpmath")
-
-from copula_risk import cli  # noqa: E402
-from copula_risk.marginals import level_of  # noqa: E402
-from copula_risk.tables import (  # noqa: E402
+from copula_risk import cli
+from copula_risk.marginals import level_of
+from copula_risk.tables import (
     DEFAULT_EXP_RATES,
     DEFAULT_PARETO_GAMMAS,
     DEFAULT_PARETO_X0,
@@ -27,17 +23,13 @@ from copula_risk.tables import (  # noqa: E402
     compute_table,
 )
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MEASURES = ("var", "cte", "mot")
 REL_TOL = 1e-11
 
 
 @pytest.fixture
-def reference(monkeypatch):
+def reference(oracle):
     """(family, target, theta, alpha, measure) -> the oracle's value."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import oracle
-
     cache = {}
 
     def ref(family, target, theta, alpha, measure):
@@ -59,10 +51,7 @@ def _rel(got, want):
     return float(abs(got - want) / abs(want))
 
 
-def test_oracle_self_checks(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import oracle
-
+def test_oracle_self_checks(oracle):
     for name, err in oracle.self_checks():
         assert err < 1e-30, name
 
@@ -110,12 +99,9 @@ def test_verify_grid_analytic_values(reference):
     "gammas, want",
     [((0.45, 0.45), 33.22704961902782), ((0.6, 0.3), 45.68750939767206)],
 )
-def test_countermonotone_pareto_min_cte_is_finite(monkeypatch, gammas, want):
+def test_countermonotone_pareto_min_cte_is_finite(oracle, gammas, want):
     # at theta = -1 the (1 + theta) term of the min has weight 0, so its
     # exponent g1 + g2 <= 1 does not make the tail expectation diverge
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import oracle
-
     p = build_portfolio("pareto", -1.0, pareto_x0=1.0, pareto_gammas=gammas)
     got = compute_measure(p, "min", "cte", 0.9)
     ref = oracle.reference("pareto", "min", *gammas, 1.0, -1.0, 0.9)[1]
