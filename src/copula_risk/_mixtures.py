@@ -12,12 +12,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
-from .errors import DivergentTail
-from .marginals import Method
+from .errors import DivergentTail, DomainError
+from .marginals import Marginal, Method, _tail_quantile
 from .numerics import exp_tail_integral, pareto_tail_integral
 
 Terms = tuple[tuple[float, float], ...]
+
+# upper_end's relative margin (64 ulps) over rounding in quantiles and cdfs
+_MARGIN = 2.0**-46
+
+
+def upper_end(target: str, m1: Marginal, m2: Marginal, level: float) -> float:
+    """An x where the CDF of the min, max or sum of X1 ~ m1 and X2 ~ m2
+    reaches level under any copula, from the quantiles q1, q2 at tail mass
+    s: min(q1, q2) at s = 1 - level, as min <= Xi; max(q1, q2) and q1 + q2
+    at s = (1 - level)/2, as F_max >= F1 + F2 - 1 and F_sum(q1 + q2) >=
+    C(u, u) >= 2u - 1 = level at u = 1 - s. DomainError if it overflows."""
+    s = (1.0 - level) * (1.0 - _MARGIN)
+    if target == "min":
+        hi = min(_tail_quantile(m1, s), _tail_quantile(m2, s))
+    else:
+        q1, q2 = _tail_quantile(m1, 0.5 * s), _tail_quantile(m2, 0.5 * s)
+        hi = max(q1, q2) if target == "max" else q1 + q2
+    hi *= 1.0 + _MARGIN
+    if not hi < math.inf:
+        raise DomainError(f"the {target}'s bracket at level {level!r} overflows")
+    return hi
 
 
 @dataclass(frozen=True)
@@ -25,6 +47,7 @@ class ExpTermMixture:
     """S(x) = sum of w * exp(-r * x) over (w, r) terms, supported on x >= 0."""
 
     terms: Terms
+    hi: Optional[Callable[[float], float]] = None  # see `upper_end`
     lo = 0.0
     method = Method.ROOT_SOLVE
 
@@ -55,6 +78,7 @@ class ParetoTermMixture:
 
     x0: float
     terms: Terms
+    hi: Optional[Callable[[float], float]] = None  # see `upper_end`
     method = Method.ROOT_SOLVE
 
     @property

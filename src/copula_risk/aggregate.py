@@ -23,15 +23,16 @@ The sum is measured on the same `BivariatePortfolio` as the min and max.
 `_SumLaw` raises `DomainError` when the marginals are not exponential;
 `AggregateExpPortfolio` is the subclass that makes the same check when it
 is built. `_SumLaw` is the solved law that `tables.law_of` gives for the
-sum, with `lo = 0`, a `cdf` and a `tail_expectation`, so the sum's
+sum, with `lo = 0`, `hi`, a `cdf` and a `tail_expectation`, so the sum's
 measures take the one path of every target, `extremes.law_measures`.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import exp, expm1, inf
 
-from ._mixtures import fgm_pairs
+from ._mixtures import fgm_pairs, upper_end
 from .errors import DomainError
 from .extremes import BivariatePortfolio, law_measures, law_report
 from .marginals import AlphaLike, ExponentialMarginal, Method, RiskReport
@@ -91,12 +92,13 @@ def _phi(z: float) -> float:
 class _SumLaw:
     """Distribution of X1 + X2 as four weighted hypoexponential pairs."""
 
-    __slots__ = ("_pairs", "_k")
+    __slots__ = ("_pairs", "_k", "hi")
     lo = 0.0
     method = Method.ROOT_SOLVE
 
     def __init__(self, p: BivariatePortfolio) -> None:
         _check_exponential(p)
+        self.hi = partial(upper_end, "sum", p.m1, p.m2)
         l1, l2 = p.m1.rate, p.m2.rate
         if l1 > l2:
             # the pairs and weights are symmetric under swapping the rates

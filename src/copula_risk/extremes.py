@@ -11,17 +11,19 @@ Each target's law (`tables.law_of`) states its `method`. `law_measures`
 reads the quantiles and CTE of a closed-form law (`MarginalLaw`); it solves
 the others, which share `lo`, the left end of the support, `cdf` and the
 closed-form `tail_expectation` int_q^inf x f(x) dx (raising `DivergentTail`
-where it diverges): `solve_level` brackets up from `lo` and bisects the
-CDF. `law_report` builds every `RiskReport` from `law_measures`, and every
-public measure of a marginal, an extreme or the sum is one call into them.
+where it diverges) and `hi(level)`, `_mixtures.upper_end` of its marginals:
+`solve_level` bisects the CDF once on [lo, hi(level)]. `law_report` builds
+every `RiskReport` from `law_measures`, and every public measure of a
+marginal, an extreme or the sum is one call into them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import isnan
 
-from ._mixtures import ExpTermMixture, ParetoTermMixture, fgm_pairs
+from ._mixtures import ExpTermMixture, ParetoTermMixture, fgm_pairs, upper_end
 from .copula import FgmCopula
 from .errors import DomainError
 from .marginals import (
@@ -35,7 +37,12 @@ from .marginals import (
     _mot_level,
     level_of,
 )
-from .numerics import DEFAULT_SETTINGS, SolverSettings, expand_bracket, solve_increasing
+from .numerics import DEFAULT_SETTINGS, SolverSettings, solve_increasing
+
+# Levels solve on a closed-form bracket. The benchmark's layer tracing
+# (perfbench/tracing.py) still rebinds this name on this module, so it stays
+# importable here until the harness stops doing so.
+from .numerics import expand_bracket  # noqa: F401
 
 
 class ExtremeSelector(str, Enum):
@@ -84,9 +91,10 @@ def _mixture(p: BivariatePortfolio, s):
     if s == "max":
         # P(max > x) = S1(x) + S2(x) - P(min > x)
         terms = ((1.0, p1), (1.0, p2)) + tuple((-w, r) for w, r in terms)
+    hi = partial(upper_end, "min" if s == "min" else "max", p.m1, p.m2)
     if isinstance(p.m1, ExponentialMarginal):
-        return ExpTermMixture(terms)
-    return ParetoTermMixture(p.m1.x0, terms)
+        return ExpTermMixture(terms, hi)
+    return ParetoTermMixture(p.m1.x0, terms, hi)
 
 
 def extreme_cdf(p: BivariatePortfolio, s, x: float) -> float:
@@ -107,13 +115,12 @@ def extreme_pdf(p: BivariatePortfolio, s, x: float) -> float:
     return _mixture(p, s).pdf(x)
 
 
-# expand_bracket and solve_increasing are looked up on this module at call
-# time, so rebinding them here (as perfbench's layer tracing does) reaches
-# the solves of the sum as well
+# solve_increasing is looked up on this module at call time, so rebinding it
+# here (as perfbench's layer tracing does) reaches the solves of the sum too
 def solve_level(law, level: float, settings: SolverSettings) -> float:
-    """Smallest x with law.cdf(x) >= level: bracket up from law.lo, bisect."""
-    lo, hi = expand_bracket(law.cdf, level, law.lo)
-    return solve_increasing(law.cdf, level, lo, hi, settings)
+    """Smallest x with law.cdf(x) >= level: one bisection of [law.lo,
+    law.hi(level)], the closed-form bracket of `_mixtures.upper_end`."""
+    return solve_increasing(law.cdf, level, law.lo, law.hi(level), settings)
 
 
 MEASURES = ("var", "cte", "mot")

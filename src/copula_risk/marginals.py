@@ -73,6 +73,16 @@ def level_of(alpha: AlphaLike) -> float:
     return a
 
 
+def _tail_quantile(m: Marginal, s: float) -> float:
+    """m's quantile at tail mass s in (0, 1], formed in s; inf if it overflows."""
+    if _dispatch(m) == "exp":
+        return -math.log(s) / m.rate
+    try:
+        return m.x0 * s ** (-1.0 / m.gamma)
+    except OverflowError:  # float ** raises where numpy's power gives inf
+        return math.inf
+
+
 def _mot_level(a: float) -> float:
     """The level (1 + a)/2 whose quantile is the MoT at a level a."""
     return 0.5 * (1.0 + a)
@@ -188,15 +198,11 @@ class MarginalLaw:
 
     def quantile(self, a: float) -> float:
         """The quantile at one level a in (0, 1), in math: `quantile`'s formulas."""
-        m = self.m
-        if _dispatch(m) == "exp":
-            # 1 - a is exact for a >= 1/2, where log(1 - a) rounds correctly
-            # more often than log1p(-a)
-            return -(math.log(1.0 - a) if a >= 0.5 else math.log1p(-a)) / m.rate
-        try:
-            return m.x0 * (1.0 - a) ** (-1.0 / m.gamma)
-        except OverflowError:  # float ** raises where numpy's power gives inf
-            return math.inf
+        if _dispatch(self.m) == "exp" and a < 0.5:
+            return -math.log1p(-a) / self.m.rate
+        # 1 - a is exact for a >= 1/2, where log(1 - a) rounds correctly more
+        # often than log1p(-a)
+        return _tail_quantile(self.m, 1.0 - a)
 
     def cte_beyond(self, q: float, a: float) -> float:
         """E[X | X > q] for q the VaR at level a; see `cte`."""

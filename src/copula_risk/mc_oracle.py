@@ -299,6 +299,8 @@ def _tail_mean_estimate(
             f"need at least {min_tail}"
         )
     point = float(tail.mean())
+    if point == math.inf:  # the spread of a tail holding inf is inf, not inf - inf
+        return EstimateWithError(point=point, std_error=math.inf, n=n)
     # influence-function variance of the tail mean: the threshold is itself
     # estimated, which adds level*(point - qhat)^2 on top of the tail
     # variance; the bare tail-std/sqrt(k) undercovers by ~40% here

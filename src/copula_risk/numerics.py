@@ -24,7 +24,7 @@ _MAX_SIMPSON_DEPTH = 56
 _QUAD_REL_TOL = 1e-10
 
 
-# bound on both the bisections and the doublings of an upper bracket
+# bound on the bisections of a solve, and on expand_bracket's doublings
 _MAX_ITER = 200
 
 

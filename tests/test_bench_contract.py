@@ -7,10 +7,12 @@ CSV). This runs each operation of the seed-1 `sweep` and `edge` workloads
 and the `verify` grid once through the runner's own call, outcome,
 span-name and value-checking code, without the mpmath oracle, so a
 library change that breaks one of those reads fails here instead of
-ending a benchmark run with no metrics.
+ending a benchmark run with no metrics. It also runs the runner's set-up
+probe, the fresh process every timed run starts first.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -60,3 +62,15 @@ def test_every_operation_runs_through_the_runner(run, workload):
             assert (units, failed) == (grid, 0)
         values = run.checked_values(op, result)
         assert len(values) == {"report": 3, "table": 5, "verify": grid}[op.kind]
+
+
+@pytest.mark.parametrize("workload", ["sweep", "edge", "verify"])
+def test_set_up_probe_completes_in_a_fresh_process(workload):
+    # a timed run raises, and exits 1 with no metrics, unless this prints
+    # "done" and exits 0
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "1",
+         "--probe"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "done\n"), proc.stderr

@@ -71,19 +71,25 @@ class TestMeasure:
         assert rows[0]["dist"] == "exp"
         assert rows[0]["x0"] == ""  # irrelevant family parameters left blank
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 2: the large-rate CTE defect of "
-        "extreme_cte reaches the CLI, which prints 0 and exits 0",
-    )
-    def test_min_cte_at_large_rates(self, capsys):
+    # equal rates pass: the bracket [0, min(q1, q2)] is twice the root and
+    # narrower than abs_tol, so its midpoint, returned, is the root
+    @pytest.mark.parametrize("l2", [
+        1e30,
+        pytest.param(2e30, marks=pytest.mark.xfail(
+            strict=True,
+            raises=AssertionError,
+            reason="ROADMAP item 2: the large-rate CTE defect of "
+            "extreme_cte reaches the CLI, which prints a wrong value and "
+            "exits 0",
+        )),
+    ])
+    def test_min_cte_at_large_rates(self, capsys, l2):
         rc, out, _ = run_cli(
-            capsys, "measure", "--dist", "exp", "--l1", "1e30", "--l2", "1e30",
-            "--theta", "0", "--target", "min", "--measure", "cte",
+            capsys, "measure", "--dist", "exp", "--l1", "1e30", "--l2",
+            repr(l2), "--theta", "0", "--target", "min", "--measure", "cte",
         )
         assert rc == 0
-        expected = math.log(10.0) / 2e30 + 1.0 / 2e30
+        expected = (math.log(10.0) + 1.0) / (1e30 + l2)
         assert float(parse_csv(out)[0]["value"]) == pytest.approx(
             expected, rel=1e-10, abs=0.0
         )

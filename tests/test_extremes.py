@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from copula_risk._mixtures import ParetoTermMixture
 from copula_risk.copula import FgmCopula, cdf as copula_cdf
-from copula_risk.errors import DivergentTail, DomainError, NoBracket
+from copula_risk.errors import DivergentTail, DomainError
 from copula_risk.extremes import (
     BivariatePortfolio,
     ExtremeSelector,
@@ -27,6 +27,14 @@ from copula_risk.marginals import (
 
 E1, E2 = ExponentialMarginal(0.5), ExponentialMarginal(0.6)
 P1, P2 = ParetoMarginal(1.0, 3.0), ParetoMarginal(1.0, 4.0)
+
+LARGE_RATES = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the solver's abs_tol = 1e-12 is absolute, so "
+    "the bracket [0, about 1.2e-30] is returned as its midpoint, a quarter "
+    "below the root",
+)
 
 
 def exp_portfolio(theta):
@@ -199,28 +207,19 @@ class TestExtremeVar:
                 assert extreme_var(p, "min", alpha) <= min(v1, v2) + 1e-9
                 assert extreme_var(p, "max", alpha) >= max(v1, v2) - 1e-9
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP items 2 and 4: the solver's abs_tol = 1e-12 is "
-        "absolute, so bisection stops at about 4.5e-13 far above a root "
-        "of about 1e-30",
-    )
-    def test_min_var_at_large_rates(self):
-        e = ExponentialMarginal(1e30)
-        p = BivariatePortfolio(e, e, FgmCopula(0.0))
-        # min of two independent Exp(1e30) is Exp(2e30)
-        expected = math.log(10.0) / 2e30
+    # at equal rates the bracket [0, min(q1, q2)] is twice the root and
+    # narrower than abs_tol, so the first midpoint, returned, is the root
+    @pytest.mark.parametrize("l2", [1e30, pytest.param(2e30, marks=LARGE_RATES)])
+    def test_min_var_at_large_rates(self, l2):
+        p = BivariatePortfolio(
+            ExponentialMarginal(1e30), ExponentialMarginal(l2), FgmCopula(0.0)
+        )
+        # min of two independent exponentials is Exp(l1 + l2)
+        expected = math.log(10.0) / (1e30 + l2)
         assert extreme_var(p, "min", 0.9) == pytest.approx(
             expected, rel=1e-10, abs=0.0
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=NoBracket,
-        reason="ROADMAP items 2 and 4: the upper bracket doubles from 1 at "
-        "most 200 times, to 2^200 (about 1.6e60), short of a root near 2e100",
-    )
     def test_max_var_at_small_rates(self):
         e = ExponentialMarginal(1e-100)
         p = BivariatePortfolio(e, e, FgmCopula(0.0))
@@ -230,18 +229,14 @@ class TestExtremeVar:
 
 
 class TestExtremeCte:
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 2: VaR stops at the absolute tolerance, about "
-        "4.5e-13, above every loss in the tail, so the tail integral beyond "
-        "it is 0 and CTE is returned as 0.0",
-    )
-    def test_min_cte_at_large_rates(self):
-        e = ExponentialMarginal(1e30)
-        p = BivariatePortfolio(e, e, FgmCopula(0.0))
-        # min of two independent Exp(1e30) is Exp(2e30): CTE = VaR + mean
-        expected = math.log(10.0) / 2e30 + 1.0 / 2e30
+    # equal rates pass as test_min_var_at_large_rates does
+    @pytest.mark.parametrize("l2", [1e30, pytest.param(2e30, marks=LARGE_RATES)])
+    def test_min_cte_at_large_rates(self, l2):
+        p = BivariatePortfolio(
+            ExponentialMarginal(1e30), ExponentialMarginal(l2), FgmCopula(0.0)
+        )
+        # min of two independent exponentials is Exp(l1 + l2): CTE = VaR + mean
+        expected = (math.log(10.0) + 1.0) / (1e30 + l2)
         assert extreme_cte(p, "min", 0.9) == pytest.approx(
             expected, rel=1e-10, abs=0.0
         )
