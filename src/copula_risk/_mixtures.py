@@ -1,17 +1,20 @@
-"""Signed survival-term mixtures underlying the composite distributions.
+"""Survival-term mixtures underlying the composite distributions.
 
 The FGM density splits into four weighted pairs of independent marginals
 (`fgm_pairs`); the minimum, maximum and sum laws are all read from them.
 The extremes have survival functions S(x) = sum_i w_i * b_i(x), where b_i
-is an exponential term exp(-r_i x) or a Pareto term (x0/x)^(g_i), so CDF,
-density and tail expectation follow term by term, on one code path for
-both extremes. The sum's four hypoexponential pairs are in `aggregate`.
+is an exponential term exp(-r_i x) or a Pareto term (x0/x)^(g_i)
+(`extreme_terms`), so density and tail expectation follow term by term.
+The exponential CDF is the copula formula, F_max = C(F1, F2) and S_min =
+C^(S1, S2), factored into nonnegative terms; the Pareto CDF is 1 - S. The
+sum's four hypoexponential pairs are in `aggregate`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import DivergentTail, DomainError
@@ -42,24 +45,50 @@ def upper_end(target: str, m1: Marginal, m2: Marginal, level: float) -> float:
     return hi
 
 
+def extreme_terms(p1: float, p2: float, theta: float, target: str) -> Terms:
+    """The signed survival terms (w, i*p1 + j*p2) of the min, over the pairs
+    (w, i, j) of `fgm_pairs`, or of the max: S1 + S2 - P(min > x)."""
+    # a weight of exactly 0 (1 + theta at theta = -1) adds nothing to S, but
+    # its exponent would decide whether a Pareto tail expectation diverges
+    terms = tuple((w, i * p1 + j * p2) for w, i, j in fgm_pairs(theta) if w)
+    if target == "max":
+        terms = ((1.0, p1), (1.0, p2)) + tuple((-w, r) for w, r in terms)
+    return terms
+
+
 @dataclass(frozen=True)
 class ExpTermMixture:
-    """S(x) = sum of w * exp(-r * x) over (w, r) terms, supported on x >= 0."""
+    """The min or max (`target`) of FGM-coupled Exp(l1) and Exp(l2). `cdf` is
+    the copula formula in factored form, every term nonnegative for theta in
+    [-1, 1]; `pdf` and `tail_expectation` sum the terms of `extreme_terms`."""
 
-    terms: Terms
-    hi: Optional[Callable[[float], float]] = None  # see `upper_end`
+    l1: float
+    l2: float
+    theta: float
+    target: str
+    hi: Callable[[float], float]  # see `upper_end`
     lo = 0.0
     method = Method.ROOT_SOLVE
 
-    def survival(self, x: float) -> float:
-        if x <= 0.0:
-            return 1.0
-        return sum(w * math.exp(-r * x) for w, r in self.terms)
+    @cached_property
+    def terms(self) -> Terms:
+        return extreme_terms(self.l1, self.l2, self.theta, self.target)
 
     def cdf(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
-        return min(max(1.0 - self.survival(x), 0.0), 1.0)
+        t1, t2, th = self.l1 * x, self.l2 * x, self.theta
+        s1, s2 = math.exp(-t1), math.exp(-t2)
+        f1, f2 = -math.expm1(-t1), -math.expm1(-t2)
+        if self.target == "max":
+            # F1*F2*(1 + theta*S1*S2), with 1 - S1*S2 = F1 + S1*F2 for theta < 0
+            if th >= 0.0:
+                return f1 * f2 * (1.0 + th * s1 * s2)
+            return f1 * f2 * ((1.0 + th) - th * (f1 + s1 * f2))
+        # 1 - S1*S2*(1 + theta*F1*F2), with 1 - S2*F1 = F2 + S1*S2 for theta > 0
+        if th <= 0.0:
+            return f1 + s1 * f2 * (1.0 - th * s2 * f1)
+        return f1 + s1 * f2 * ((1.0 - th) + th * (f2 + s1 * s2))
 
     def pdf(self, x: float) -> float:
         if x < 0.0:

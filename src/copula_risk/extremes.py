@@ -3,9 +3,11 @@ one path that measures the law of every target.
 
 Under FGM dependence the survival function of either extreme is a signed
 sum of exponential or Pareto survival terms built from the two marginal
-parameters (`ExpTermMixture`, `ParetoTermMixture`): P(min > x) has the
-terms (w, i*p1 + j*p2) of the pairs (w, i, j) of `_mixtures.fgm_pairs`, and
-P(max > x) = S1(x) + S2(x) - P(min > x).
+parameters (`_mixtures.extreme_terms`): P(min > x) has the terms
+(w, i*p1 + j*p2) of the pairs (w, i, j) of `_mixtures.fgm_pairs`, and
+P(max > x) = S1(x) + S2(x) - P(min > x). `ParetoTermMixture` sums those
+terms for its CDF, density and tail expectation; `ExpTermMixture` for the
+last two, its CDF being the copula formula in nonnegative factored form.
 
 Each target's law (`tables.law_of`) states its `method`. `law_measures`
 reads the quantiles and CTE of a closed-form law (`MarginalLaw`); it solves
@@ -23,7 +25,7 @@ from enum import Enum
 from functools import partial
 from math import isnan
 
-from ._mixtures import ExpTermMixture, ParetoTermMixture, fgm_pairs, upper_end
+from ._mixtures import ExpTermMixture, ParetoTermMixture, extreme_terms, upper_end
 from .copula import FgmCopula
 from .errors import DomainError
 from .marginals import (
@@ -78,22 +80,14 @@ class BivariatePortfolio:
 
 
 def _mixture(p: BivariatePortfolio, s):
-    """The survival-term mixture of the selected extreme: its law."""
+    """The law of the selected extreme."""
     if s not in ("min", "max"):  # an ExtremeSelector equals its value
         raise DomainError(f"selector must be 'min' or 'max', got {s!r}")
+    target = "min" if s == "min" else "max"
+    hi = partial(upper_end, target, p.m1, p.m2)
     if isinstance(p.m1, ExponentialMarginal):
-        p1, p2 = p.m1.rate, p.m2.rate
-    else:
-        p1, p2 = p.m1.gamma, p.m2.gamma
-    # a weight of exactly 0 (1 + theta at theta = -1) adds nothing to S, but
-    # its exponent would decide whether a Pareto tail expectation diverges
-    terms = tuple((w, i * p1 + j * p2) for w, i, j in fgm_pairs(p.copula.theta) if w)
-    if s == "max":
-        # P(max > x) = S1(x) + S2(x) - P(min > x)
-        terms = ((1.0, p1), (1.0, p2)) + tuple((-w, r) for w, r in terms)
-    hi = partial(upper_end, "min" if s == "min" else "max", p.m1, p.m2)
-    if isinstance(p.m1, ExponentialMarginal):
-        return ExpTermMixture(terms, hi)
+        return ExpTermMixture(p.m1.rate, p.m2.rate, p.copula.theta, target, hi)
+    terms = extreme_terms(p.m1.gamma, p.m2.gamma, p.copula.theta, target)
     return ParetoTermMixture(p.m1.x0, terms, hi)
 
 

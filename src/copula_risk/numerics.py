@@ -24,7 +24,9 @@ _MAX_SIMPSON_DEPTH = 56
 _QUAD_REL_TOL = 1e-10
 
 
-# bound on the bisections of a solve, and on expand_bracket's doublings
+# bisections that take any finite bracket to adjacent floats (2,099 at most)
+_MAX_BISECTIONS = 2100
+# bound on expand_bracket's doublings
 _MAX_ITER = 200
 
 
@@ -58,7 +60,7 @@ def solve_increasing(
     Raises:
         BracketInvalid: if f(lo) > target or f(hi) < target.
         NoConvergence: if the interval is still wider than abs_tol after
-            _MAX_ITER bisections.
+            _MAX_BISECTIONS bisections.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -69,7 +71,7 @@ def solve_increasing(
         )
     if flo >= target:
         return lo
-    for _ in range(_MAX_ITER):
+    for _ in range(_MAX_BISECTIONS):
         if hi - lo <= settings.abs_tol:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
@@ -82,7 +84,7 @@ def solve_increasing(
             lo = mid
     raise NoConvergence(
         f"bisection did not reach abs_tol={settings.abs_tol} "
-        f"in {_MAX_ITER} iterations"
+        f"in {_MAX_BISECTIONS} iterations"
     )
 
 

@@ -116,6 +116,13 @@ class TestExtremeCdf:
                     copula_cdf(c, u, v), abs=1e-14
                 )
 
+    def test_leading_order_at_small_x(self):
+        # F_min = (l1 + l2) x and F_max = (1 + theta) l1 l2 x**2, each to a
+        # relative O(x)
+        p, x = exp_portfolio(0.5), 1e-12
+        assert extreme_cdf(p, "min", x) == pytest.approx(1.1e-12, rel=1e-11)
+        assert extreme_cdf(p, "max", x) == pytest.approx(0.45e-24, rel=1e-11)
+
     @pytest.mark.parametrize("theta", [0.0, 0.5, 0.9])
     def test_bracketed_by_marginals(self, theta):
         p = exp_portfolio(theta)
@@ -219,6 +226,14 @@ class TestExtremeVar:
         assert extreme_var(p, "min", 0.9) == pytest.approx(
             expected, rel=1e-10, abs=0.0
         )
+
+    def test_pareto_min_var_across_a_huge_bracket(self):
+        # at theta = 0 the min is Pareto(x0, g1 + g2), whose VaR at 0.99 is
+        # 1e100; the bracket [1, 1e200] takes over 200 bisections
+        g = ParetoMarginal(1.0, 0.01)
+        p = BivariatePortfolio(g, g, FgmCopula(0.0))
+        expected = marginal_var(ParetoMarginal(1.0, 0.02), 0.99)
+        assert extreme_var(p, "min", 0.99) == pytest.approx(expected, rel=1e-11)
 
     def test_max_var_at_small_rates(self):
         e = ExponentialMarginal(1e-100)

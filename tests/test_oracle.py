@@ -6,12 +6,20 @@ interpolated from the copula itself and the sum's pairs from the joint
 density, never from the library's weights. So this checks the FGM pair
 table that the min, max and sum laws read, on a fixed grid: the cells of
 the 15 published tables and the analytic values of the `verify` grid.
+
+The extremes' CDFs are also fuzzed against the copula formula itself,
+F_max = C(F1, F2) and F_min = 1 - C^(S1, S2), in mpmath at 60 digits.
 """
 
+import math
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from copula_risk import cli
-from copula_risk.marginals import level_of
+from copula_risk.copula import FgmCopula
+from copula_risk.extremes import BivariatePortfolio, extreme_cdf
+from copula_risk.marginals import ExponentialMarginal, ParetoMarginal, level_of
 from copula_risk.tables import (
     DEFAULT_EXP_RATES,
     DEFAULT_PARETO_GAMMAS,
@@ -25,6 +33,11 @@ from copula_risk.tables import (
 
 MEASURES = ("var", "cte", "mot")
 REL_TOL = 1e-11
+CDF_REL_TOL = 2e-15
+
+exponents = st.floats(-200.0, 200.0)
+thetas = st.one_of(st.sampled_from((-1.0, 1.0)), st.floats(-1.0, 1.0))
+targets = st.sampled_from(("min", "max"))
 
 
 @pytest.fixture
@@ -107,3 +120,64 @@ def test_countermonotone_pareto_min_cte_is_finite(oracle, gammas, want):
     ref = oracle.reference("pareto", "min", *gammas, 1.0, -1.0, 0.9)[1]
     assert _rel(got, ref) < REL_TOL
     assert _rel(got, want) < REL_TOL
+
+
+def _copula_cdf_rel_error(p, target, x):
+    """Relative error of extreme_cdf at x against the copula formula at 60
+    digits, from the float x and parameters. oracle.Cell.cdf is not the
+    judge here: it rounds to 2**-53 near 0."""
+    mp = pytest.importorskip("mpmath")
+    got = extreme_cdf(p, target, x)
+    with mp.workdps(60):
+        x, theta = mp.mpf(x), p.copula.theta
+        if isinstance(p.m1, ExponentialMarginal):
+            s1, s2 = (mp.exp(-mp.mpf(m.rate) * x) for m in (p.m1, p.m2))
+        else:
+            s1, s2 = ((mp.mpf(m.x0) / x) ** m.gamma for m in (p.m1, p.m2))
+        f1, f2 = 1 - s1, 1 - s2
+        if target == "max":
+            want = f1 * f2 * (1 + theta * s1 * s2)
+        else:
+            want = 1 - s1 * s2 * (1 + theta * f1 * f2)
+        return float(abs(got - want) / want)
+
+
+@settings(max_examples=400)
+@given(
+    l1=exponents.map(lambda e: 10.0**e),
+    ratio=st.one_of(
+        st.sampled_from((1.0, 2.0)), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+    ),
+    theta=thetas,
+    t=st.floats(-12.0, math.log10(50.0)).map(lambda e: 10.0**e),
+    target=targets,
+)
+def test_exp_extreme_cdf_is_the_copula_formula(l1, ratio, theta, t, target):
+    # rates log-uniform over 1e-200..1e200 (the second within 1e3 of the
+    # first), at t = l1 * x from 1e-12 to 50: both tails of either extreme
+    p = BivariatePortfolio(
+        ExponentialMarginal(l1), ExponentialMarginal(l1 * ratio), FgmCopula(theta)
+    )
+    assert _copula_cdf_rel_error(p, target, t / l1) <= CDF_REL_TOL
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 8: the Pareto min and max CDF is 1 minus a signed "
+    "sum of survival terms, which cancels near x0",
+)
+@example(x0=1.0, g1=3.0, g2=4.0, theta=0.5, rel=1.0 + 1e-9, target="min")
+@given(
+    x0=exponents.map(lambda e: 10.0**e),
+    g1=st.floats(1.0, 50.0, exclude_min=True),
+    g2=st.floats(1.0, 50.0, exclude_min=True),
+    theta=thetas,
+    rel=st.floats(1.0 + 1e-12, 10.0),
+    target=targets,
+)
+def test_pareto_extreme_cdf_is_the_copula_formula(x0, g1, g2, theta, rel, target):
+    p = BivariatePortfolio(
+        ParetoMarginal(x0, g1), ParetoMarginal(x0, g2), FgmCopula(theta)
+    )
+    assert _copula_cdf_rel_error(p, target, x0 * rel) <= CDF_REL_TOL
