@@ -2,12 +2,12 @@
 
 The FGM density splits into four weighted pairs of independent marginals
 (`fgm_pairs`); the minimum, maximum and sum laws are all read from them.
-The extremes have survival functions S(x) = sum_i w_i * b_i(x), where b_i
-is an exponential term exp(-r_i x) or a Pareto term (x0/x)^(g_i)
-(`extreme_terms`), so density and tail expectation follow term by term.
-The exponential CDF is the copula formula, F_max = C(F1, F2) and S_min =
-C^(S1, S2), factored into nonnegative terms; the Pareto CDF is 1 - S. The
-sum's four hypoexponential pairs are in `aggregate`.
+The exponential extremes' CDF is the copula formula, F_max = C(F1, F2)
+and S_min = C^(S1, S2), factored into nonnegative terms; density and tail
+expectation sum the signed survival terms w_i * exp(-r_i x) of
+`extreme_terms`. As X = x0 exp(E) with E ~ Exp(g) for X ~ Pareto(x0, g),
+the Pareto extremes are that law read at log(x/x0), bar their tail
+expectation. The sum's four hypoexponential pairs are in `aggregate`.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
-from .errors import DivergentTail, DomainError
+from .errors import DivergentTail
 from .marginals import Marginal, Method, _tail_quantile
 from .numerics import exp_tail_integral, pareto_tail_integral
 
@@ -32,17 +32,14 @@ def upper_end(target: str, m1: Marginal, m2: Marginal, level: float) -> float:
     reaches level under any copula, from the quantiles q1, q2 at tail mass
     s: min(q1, q2) at s = 1 - level, as min <= Xi; max(q1, q2) and q1 + q2
     at s = (1 - level)/2, as F_max >= F1 + F2 - 1 and F_sum(q1 + q2) >=
-    C(u, u) >= 2u - 1 = level at u = 1 - s. DomainError if it overflows."""
+    C(u, u) >= 2u - 1 = level at u = 1 - s. inf if it overflows."""
     s = (1.0 - level) * (1.0 - _MARGIN)
     if target == "min":
         hi = min(_tail_quantile(m1, s), _tail_quantile(m2, s))
     else:
         q1, q2 = _tail_quantile(m1, 0.5 * s), _tail_quantile(m2, 0.5 * s)
         hi = max(q1, q2) if target == "max" else q1 + q2
-    hi *= 1.0 + _MARGIN
-    if not hi < math.inf:
-        raise DomainError(f"the {target}'s bracket at level {level!r} overflows")
-    return hi
+    return hi * (1.0 + _MARGIN)
 
 
 def extreme_terms(p1: float, p2: float, theta: float, target: str) -> Terms:
@@ -101,35 +98,36 @@ class ExpTermMixture:
         return sum(w * exp_tail_integral(r, q) for w, r in self.terms)
 
 
+def _log_ratio(x: float, x0: float) -> float:
+    """log(x/x0) for x > x0: log1p((x - x0)/x0) below 2*x0, where x - x0 is
+    exact, and log(x) - log(x0) where x/x0 overflows."""
+    d = (x - x0) / x0
+    if d < 1.0:
+        return math.log1p(d)
+    r = x / x0
+    return math.log(r) if r < math.inf else math.log(x) - math.log(x0)
+
+
 @dataclass(frozen=True)
-class ParetoTermMixture:
-    """S(x) = sum of w * (x0/x)^g over (w, g) terms, supported on x >= x0."""
+class ParetoTermMixture(ExpTermMixture):
+    """The min or max of FGM-coupled Pareto(x0, l1) and Pareto(x0, l2): the
+    `ExpTermMixture` at rates (l1, l2) read at u = log(x/x0)."""
 
     x0: float
-    terms: Terms
-    hi: Optional[Callable[[float], float]] = None  # see `upper_end`
-    method = Method.ROOT_SOLVE
 
     @property
     def lo(self) -> float:
         return self.x0
 
-    def survival(self, x: float) -> float:
-        if x <= self.x0:
-            return 1.0
-        return sum(w * (self.x0 / x) ** g for w, g in self.terms)
-
     def cdf(self, x: float) -> float:
         if x <= self.x0:
             return 0.0
-        return min(max(1.0 - self.survival(x), 0.0), 1.0)
+        return ExpTermMixture.cdf(self, _log_ratio(x, self.x0))
 
     def pdf(self, x: float) -> float:
         if x < self.x0:
             return 0.0
-        # g/x * (x0/x)^g: x0^g and x^(-g-1) apart leave the float range
-        val = sum(w * g / x * (self.x0 / x) ** g for w, g in self.terms)
-        return max(val, 0.0)
+        return ExpTermMixture.pdf(self, _log_ratio(x, self.x0)) / x
 
     def tail_expectation(self, q: float) -> float:
         """int_q^inf x f(x) dx; every exponent must exceed 1 to converge.
@@ -142,9 +140,7 @@ class ParetoTermMixture:
             raise DivergentTail(
                 f"tail expectation requires every exponent > 1, got {g_min}"
             )
-        return sum(
-            w * pareto_tail_integral(self.x0, g, q) for w, g in self.terms
-        )
+        return sum(w * pareto_tail_integral(self.x0, g, q) for w, g in self.terms)
 
 
 def fgm_pairs(theta: float) -> tuple[tuple[float, int, int], ...]:

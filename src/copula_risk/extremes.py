@@ -5,9 +5,10 @@ Under FGM dependence the survival function of either extreme is a signed
 sum of exponential or Pareto survival terms built from the two marginal
 parameters (`_mixtures.extreme_terms`): P(min > x) has the terms
 (w, i*p1 + j*p2) of the pairs (w, i, j) of `_mixtures.fgm_pairs`, and
-P(max > x) = S1(x) + S2(x) - P(min > x). `ParetoTermMixture` sums those
-terms for its CDF, density and tail expectation; `ExpTermMixture` for the
-last two, its CDF being the copula formula in nonnegative factored form.
+P(max > x) = S1(x) + S2(x) - P(min > x). `ExpTermMixture` sums those terms
+for its density and tail expectation, its CDF being the copula formula in
+nonnegative factored form. `ParetoTermMixture` is that exponential law read
+at log(x/x0), with its own tail expectation of Pareto terms.
 
 Each target's law (`tables.law_of`) states its `method`. `law_measures`
 reads the quantiles and CTE of a closed-form law (`MarginalLaw`); it solves
@@ -23,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from math import isnan
+from math import inf, isnan
+from sys import float_info
 
-from ._mixtures import ExpTermMixture, ParetoTermMixture, extreme_terms, upper_end
+from ._mixtures import ExpTermMixture, ParetoTermMixture, upper_end
 from .copula import FgmCopula
 from .errors import DomainError
 from .marginals import (
@@ -87,8 +89,9 @@ def _mixture(p: BivariatePortfolio, s):
     hi = partial(upper_end, target, p.m1, p.m2)
     if isinstance(p.m1, ExponentialMarginal):
         return ExpTermMixture(p.m1.rate, p.m2.rate, p.copula.theta, target, hi)
-    terms = extreme_terms(p.m1.gamma, p.m2.gamma, p.copula.theta, target)
-    return ParetoTermMixture(p.m1.x0, terms, hi)
+    return ParetoTermMixture(
+        p.m1.gamma, p.m2.gamma, p.copula.theta, target, hi, p.m1.x0
+    )
 
 
 def extreme_cdf(p: BivariatePortfolio, s, x: float) -> float:
@@ -113,8 +116,16 @@ def extreme_pdf(p: BivariatePortfolio, s, x: float) -> float:
 # here (as perfbench's layer tracing does) reaches the solves of the sum too
 def solve_level(law, level: float, settings: SolverSettings) -> float:
     """Smallest x with law.cdf(x) >= level: one bisection of [law.lo,
-    law.hi(level)], the closed-form bracket of `_mixtures.upper_end`."""
-    return solve_increasing(law.cdf, level, law.lo, law.hi(level), settings)
+    law.hi(level)], the closed-form bracket of `_mixtures.upper_end`.
+
+    A bracket end that overflows is clipped to the largest float; DomainError
+    if the CDF there is still below the level."""
+    hi = law.hi(level)
+    if hi == inf:
+        hi = float_info.max
+        if not law.cdf(hi) >= level:
+            raise DomainError(f"the bracket at level {level!r} overflows")
+    return solve_increasing(law.cdf, level, law.lo, hi, settings)
 
 
 MEASURES = ("var", "cte", "mot")

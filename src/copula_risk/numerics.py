@@ -72,9 +72,10 @@ def solve_increasing(
     if flo >= target:
         return lo
     for _ in range(_MAX_BISECTIONS):
+        # the bits of 0.5 * (lo + hi) in the normal range, without overflow
+        mid = 0.5 * lo + 0.5 * hi
         if hi - lo <= settings.abs_tol:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
+            return mid
         if not lo < mid < hi:
             # interval narrower than float resolution
             return mid

@@ -3,12 +3,12 @@
 perfbench/run.py calls into the library by name (`aggregate.is_singular`,
 `cli.main`, `cli.VERIFY_*`, `tables.compute_table`, the report functions)
 and reads result fields (`RiskReport.method`, `.tolerance`, the verify
-CSV). This runs each operation of the seed-1 `sweep` and `edge` workloads
-and the `verify` grid once through the runner's own call, outcome,
-span-name and value-checking code, without the mpmath oracle, so a
-library change that breaks one of those reads fails here instead of
-ending a benchmark run with no metrics. It also runs the runner's set-up
-probe, the fresh process every timed run starts first.
+CSV). This runs each operation of the `sweep` and `edge` workloads at
+seeds 1-20, and of the seed-1 `verify` grid, once through the runner's own
+call, outcome, span-name and value-checking code, without the mpmath
+oracle, so a library change that breaks one of those reads fails here
+instead of ending a benchmark run with no metrics. It also runs the
+runner's set-up probe, the fresh process every timed run starts first.
 """
 
 import importlib.util
@@ -41,13 +41,19 @@ def run():
     return module
 
 
-@pytest.mark.parametrize("workload", ["sweep", "edge", "verify"])
-def test_every_operation_runs_through_the_runner(run, workload):
+# the cells of sweep and edge are drawn from the seed, so a read that fails
+# on one draw only shows at some seeds
+@pytest.mark.parametrize(
+    "workload, seed",
+    [(w, seed) for w in ("sweep", "edge") for seed in range(1, 21)]
+    + [("verify", 1)],
+)
+def test_every_operation_runs_through_the_runner(run, workload, seed):
     grid = run.verify_grid_size()
     assert grid == 90
-    for op in run.workloads.build(workload, 1):
+    for op in run.workloads.build(workload, seed):
         try:
-            result = run.make_call(op, 1)()
+            result = run.make_call(op, seed)()
         except Exception as exc:  # counted as failed, as the runner does
             result = exc
         key, units, failed = run.outcome(op, result, grid)
@@ -62,6 +68,9 @@ def test_every_operation_runs_through_the_runner(run, workload):
             assert (units, failed) == (grid, 0)
         values = run.checked_values(op, result)
         assert len(values) == {"report": 3, "table": 5, "verify": grid}[op.kind]
+        # the runner's checks call math.isfinite and float() on these
+        for _, _, v, tol, _ in values:
+            assert type(v) is float and type(tol) is float, (op, v, tol)
 
 
 @pytest.mark.parametrize("workload", ["sweep", "edge", "verify"])

@@ -235,6 +235,15 @@ class TestExtremeVar:
         expected = marginal_var(ParetoMarginal(1.0, 0.02), 0.99)
         assert extreme_var(p, "min", 0.99) == pytest.approx(expected, rel=1e-11)
 
+    def test_pareto_min_var_past_an_overflowing_bracket_end(self):
+        # both marginal quantiles at tail mass 0.01 are 1e200 * 100**100,
+        # past the float range, so the bracket end is clipped to the largest
+        # float; the min, Pareto(1e200, 0.02) at theta = 0, has VaR 1e300
+        g = ParetoMarginal(1e200, 0.01)
+        p = BivariatePortfolio(g, g, FgmCopula(0.0))
+        expected = marginal_var(ParetoMarginal(1e200, 0.02), 0.99)
+        assert extreme_var(p, "min", 0.99) == pytest.approx(expected, rel=1e-11)
+
     def test_max_var_at_small_rates(self):
         e = ExponentialMarginal(1e-100)
         p = BivariatePortfolio(e, e, FgmCopula(0.0))
@@ -301,9 +310,11 @@ class TestExtremeCte:
                 fn(thin, "min", 0.9)
             with pytest.raises(DivergentTail):
                 fn(mixed, "max", 0.9)
-        # the rule lives on the Pareto law: its smallest exponent must exceed 1
+        # the rule lives on the Pareto law: its smallest exponent, here the
+        # min's g1 + g2 = 0.9, must exceed 1
+        law = ParetoTermMixture(0.4, 0.5, 0.5, "min", hi=None, x0=1.0)
         with pytest.raises(DivergentTail):
-            ParetoTermMixture(1.0, ((1.0, 0.9),)).tail_expectation(2.0)
+            law.tail_expectation(2.0)
         # VaR stays finite even when the tail expectation does not exist
         assert extreme_var(thin, "min", 0.9) > 1.0
 

@@ -187,8 +187,8 @@ def test_pareto_measures_scale_with_x0(x0_k, g1, g2, theta, alpha):
 @ITEMS_8_AND_2
 @given(rates=rate_pairs(), x0=exponents.map(lambda e: 10.0**e), g1=gammas,
        g2=gammas, theta=thetas, alpha=alphas)
-# the max's VaR, for both families
-@example(rates=(0.5, 0.6), x0=1.0, g1=3.0, g2=4.0, theta=-1.0, alpha=1e-12)
+# the Pareto max's MoT, near 5e4, where abs_tol is below the float spacing
+@example(rates=(1.0, 1.0), x0=1e4, g1=1.125, g2=1.625, theta=-1.0, alpha=0.5)
 def test_measures_are_unchanged_by_swapping_the_marginals(
     rates, x0, g1, g2, theta, alpha
 ):
@@ -212,7 +212,8 @@ def test_measures_are_unchanged_by_swapping_the_marginals(
 @ITEMS_8_AND_2
 @given(x0=exponents.map(lambda e: 10.0**e), g1=gammas, g2=gammas,
        theta=thetas, alpha=alphas)
-@example(x0=1.0, g1=3.0, g2=4.0, theta=0.0, alpha=1e-12)  # the max's VaR
+# the min's VaR and MoT at alpha = 1 - 1e-12, where F is flat over many floats
+@example(x0=1.0, g1=2.0, g2=2.0, theta=-1.0, alpha=1.0 - 1e-12)
 def test_pareto_quantiles_are_x0_exp_of_the_exponential_ones(
     x0, g1, g2, theta, alpha
 ):

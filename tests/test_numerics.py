@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -63,6 +64,12 @@ class TestSolveIncreasing:
         assert solve_increasing(lambda x: x, 0.5, 0.0, 1e300) == pytest.approx(
             0.5, abs=1e-12
         )
+
+    def test_midpoint_of_a_bracket_near_the_largest_float(self):
+        # lo + hi overflows here; the midpoint must not
+        top = sys.float_info.max
+        root = solve_increasing(lambda x: x, 0.999 * top, 0.0, top)
+        assert root == pytest.approx(0.999 * top, rel=1e-15)
 
     def test_deterministic(self):
         a = solve_increasing(indep_max_cdf, 0.9, 0.0, 50.0)

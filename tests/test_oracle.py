@@ -161,13 +161,11 @@ def test_exp_extreme_cdf_is_the_copula_formula(l1, ratio, theta, t, target):
     assert _copula_cdf_rel_error(p, target, t / l1) <= CDF_REL_TOL
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 8: the Pareto min and max CDF is 1 minus a signed "
-    "sum of survival terms, which cancels near x0",
-)
+# log(x/x0) is log1p((x - x0)/x0) below 2*x0 and log of the ratio above;
+# the next test takes the ratio past the float range
 @example(x0=1.0, g1=3.0, g2=4.0, theta=0.5, rel=1.0 + 1e-9, target="min")
+@example(x0=1.0, g1=3.0, g2=4.0, theta=-1.0, rel=1.0 + 1e-12, target="max")
+@example(x0=1.0, g1=3.0, g2=4.0, theta=1.0, rel=10.0, target="min")
 @given(
     x0=exponents.map(lambda e: 10.0**e),
     g1=st.floats(1.0, 50.0, exclude_min=True),
@@ -181,3 +179,14 @@ def test_pareto_extreme_cdf_is_the_copula_formula(x0, g1, g2, theta, rel, target
         ParetoMarginal(x0, g1), ParetoMarginal(x0, g2), FgmCopula(theta)
     )
     assert _copula_cdf_rel_error(p, target, x0 * rel) <= CDF_REL_TOL
+
+
+@pytest.mark.parametrize("theta", [-1.0, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("target", ["min", "max"])
+def test_pareto_extreme_cdf_where_x_over_x0_overflows(theta, target):
+    # x / x0 = 1e400 is past the float range; its log is not
+    p = BivariatePortfolio(
+        ParetoMarginal(1e-200, 0.01), ParetoMarginal(1e-200, 0.02),
+        FgmCopula(theta),
+    )
+    assert _copula_cdf_rel_error(p, target, 1e200) <= CDF_REL_TOL
