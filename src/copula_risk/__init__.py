@@ -54,7 +54,6 @@ from .mc_oracle import (
     sample_pairs,
     scalar_sample,
 )
-from .numerics import DEFAULT_SETTINGS, SolverSettings
 
 __version__ = "0.1.0"
 
@@ -64,7 +63,6 @@ __all__ = [
     "BivariatePortfolio",
     "BracketInvalid",
     "CopulaRiskError",
-    "DEFAULT_SETTINGS",
     "DivergentTail",
     "DomainError",
     "EstimateWithError",
@@ -78,7 +76,6 @@ __all__ = [
     "ParetoMarginal",
     "RiskReport",
     "SampleBatch",
-    "SolverSettings",
     "aggregate_cdf",
     "aggregate_cte",
     "aggregate_mot",

@@ -36,7 +36,6 @@ from ._mixtures import fgm_pairs, upper_end
 from .errors import DomainError
 from .extremes import BivariatePortfolio, law_measures, law_report
 from .marginals import AlphaLike, ExponentialMarginal, Method, RiskReport
-from .numerics import DEFAULT_SETTINGS, SolverSettings
 
 # Sums solve through extremes.solve_level. The benchmark's layer tracing
 # (perfbench/tracing.py) still rebinds these four names on this module, so
@@ -179,41 +178,25 @@ def aggregate_cdf(p: BivariatePortfolio, x: float) -> float:
     return _SumLaw(p).cdf(x)
 
 
-def aggregate_var(
-    p: BivariatePortfolio,
-    alpha: AlphaLike,
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> float:
+def aggregate_var(p: BivariatePortfolio, alpha: AlphaLike) -> float:
     """Value at risk of the aggregate, by bracketed root solve."""
-    return law_measures(_SumLaw(p), alpha, "var", settings)
+    return law_measures(_SumLaw(p), alpha, "var")
 
 
-def aggregate_mot(
-    p: BivariatePortfolio,
-    alpha: AlphaLike,
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> float:
+def aggregate_mot(p: BivariatePortfolio, alpha: AlphaLike) -> float:
     """Median of the tail beyond VaR: solves F(M) = (1 + alpha) / 2."""
-    return law_measures(_SumLaw(p), alpha, "mot", settings)
+    return law_measures(_SumLaw(p), alpha, "mot")
 
 
-def aggregate_cte(
-    p: BivariatePortfolio,
-    alpha: AlphaLike,
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> float:
+def aggregate_cte(p: BivariatePortfolio, alpha: AlphaLike) -> float:
     """Conditional tail expectation of the aggregate.
 
     Signed sum of closed-form tail integrals beyond VaR divided by
     1 - alpha.
     """
-    return law_measures(_SumLaw(p), alpha, "cte", settings)
+    return law_measures(_SumLaw(p), alpha, "cte")
 
 
-def aggregate_report(
-    p: BivariatePortfolio,
-    alpha: AlphaLike,
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> RiskReport:
+def aggregate_report(p: BivariatePortfolio, alpha: AlphaLike) -> RiskReport:
     """All three measures of the aggregate at one confidence level."""
-    return law_report(_SumLaw(p), alpha, settings)
+    return law_report(_SumLaw(p), alpha)

@@ -37,7 +37,6 @@ from .mc_oracle import (
     _tail_mean_estimate,
     sample_pairs,
 )
-from .numerics import DEFAULT_SETTINGS, SolverSettings
 from .tables import (
     DEFAULT_EXP_RATES,
     DEFAULT_PARETO_GAMMAS,
@@ -123,7 +122,6 @@ def _resolve_seed(arg_seed) -> int:
 
 
 def cmd_measure(args) -> int:
-    settings = SolverSettings(abs_tol=args.tol)
     portfolio = build_portfolio(
         args.dist, args.theta,
         exp_rates=(args.l1, args.l2),
@@ -131,7 +129,7 @@ def cmd_measure(args) -> int:
         pareto_gammas=(args.g1, args.g2),
     )
     law = law_of(portfolio, args.target)
-    value = law_measures(law, args.alpha, args.measure, settings)
+    value = law_measures(law, args.alpha, args.measure)
     record = {
         "dist": args.dist,
         "l1": args.l1 if args.dist == "exp" else None,
@@ -145,16 +143,15 @@ def cmd_measure(args) -> int:
         "measure": args.measure,
         "value": value,
         "method": law.method.value,
-        "tolerance": law_tolerance(law, settings),
+        "tolerance": law_tolerance(law),
     }
     _emit([record], MEASURE_FIELDS, args)
     return 0
 
 
 def cmd_table(args) -> int:
-    settings = SolverSettings(abs_tol=args.tol)
     grid = DEFAULT_THETA_GRID
-    if args.theta_grid:
+    if args.theta_grid is not None:
         try:
             grid = tuple(float(t) for t in args.theta_grid.split(","))
         except ValueError:
@@ -170,18 +167,17 @@ def cmd_table(args) -> int:
         pareto_x0=args.x0,
         pareto_gammas=(args.g1, args.g2),
     )
-    _emit(compute_table(spec, settings), TABLE_FIELDS, args)
+    _emit(compute_table(spec), TABLE_FIELDS, args)
     return 0
 
 
 def cmd_figure(args) -> int:
-    settings = SolverSettings(abs_tol=args.tol)
     tdef = TABLES[FIGURES[args.figure_id][0]]  # its CTE table differs only in measure
     records = []
     for theta in DEFAULT_THETA_GRID:
         var, cte = compute_measure(
             build_portfolio(tdef.family, theta), tdef.target, ("var", "cte"),
-            DEFAULT_TABLE_ALPHA, settings,
+            DEFAULT_TABLE_ALPHA,
         )
         records.append(
             {"figure_id": args.figure_id, "theta": theta, "var": var, "cte": cte}
@@ -196,8 +192,7 @@ def _select_slots(slots, first: int) -> None:
         _select_tail(xs, first)
 
 
-def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
-                  stream_base=0):
+def _verify_cells(family, thetas, alphas, targets, mc_n, seed, stream_base=0):
     """Records of the Monte Carlo cross-check of min, max and sum targets.
 
     Per theta, the batch from `sample_pairs` goes through three stages.
@@ -250,9 +245,7 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
         for target in targets:
             xs = samples[target]
             for a in levels:
-                solved = compute_measure(
-                    portfolio, target, VERIFY_MEASURES, a, settings
-                )
+                solved = compute_measure(portfolio, target, VERIFY_MEASURES, a)
                 for measure, analytic in zip(VERIFY_MEASURES, solved):
                     record = {
                         "family": family,
@@ -293,18 +286,17 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, settings,
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
-    settings = SolverSettings(abs_tol=args.tol)
     exp_thetas = VERIFY_EXP_THETAS
     par_thetas = VERIFY_PARETO_THETAS
     if args.theta is not None:
         exp_thetas = par_thetas = (args.theta,)
     records = _verify_cells(
         "exp", exp_thetas, VERIFY_EXP_ALPHAS, VERIFY_EXP_TARGETS,
-        args.mc_n, seed, settings, stream_base=0,
+        args.mc_n, seed, stream_base=0,
     )
     records += _verify_cells(
         "pareto", par_thetas, VERIFY_PARETO_ALPHAS, VERIFY_PARETO_TARGETS,
-        args.mc_n, seed, settings, stream_base=len(exp_thetas),
+        args.mc_n, seed, stream_base=len(exp_thetas),
     )
     _emit(records, VERIFY_FIELDS, args)
     return 0 if all(r["status"] == "pass" for r in records) else 1
@@ -314,8 +306,6 @@ def _add_output_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output file (default: stdout)")
-    p.add_argument("--tol", type=float, default=DEFAULT_SETTINGS.abs_tol,
-                   help="solver tolerance on the x axis (default %(default)g)")
 
 
 def _add_portfolio_opts(p: argparse.ArgumentParser) -> None:

@@ -41,7 +41,7 @@ from .marginals import (
     _mot_level,
     level_of,
 )
-from .numerics import DEFAULT_SETTINGS, SolverSettings, solve_increasing
+from .numerics import _ABS_TOL, solve_increasing
 
 # Levels solve on a closed-form bracket. The benchmark's layer tracing
 # (perfbench/tracing.py) still rebinds this name on this module, so it stays
@@ -114,7 +114,7 @@ def extreme_pdf(p: BivariatePortfolio, s, x: float) -> float:
 
 # solve_increasing is looked up on this module at call time, so rebinding it
 # here (as perfbench's layer tracing does) reaches the solves of the sum too
-def solve_level(law, level: float, settings: SolverSettings) -> float:
+def solve_level(law, level: float) -> float:
     """Smallest x with law.cdf(x) >= level: one bisection of [law.lo,
     law.hi(level)], the closed-form bracket of `_mixtures.upper_end`.
 
@@ -125,20 +125,18 @@ def solve_level(law, level: float, settings: SolverSettings) -> float:
         hi = float_info.max
         if not law.cdf(hi) >= level:
             raise DomainError(f"the bracket at level {level!r} overflows")
-    return solve_increasing(law.cdf, level, law.lo, hi, settings)
+    return solve_increasing(law.cdf, level, law.lo, hi)
 
 
 MEASURES = ("var", "cte", "mot")
 
 
-def law_tolerance(law, settings: SolverSettings) -> float:
+def law_tolerance(law) -> float:
     """The x-axis tolerance a value of this law states: 0 in closed form."""
-    return settings.abs_tol if law.method is Method.ROOT_SOLVE else 0.0
+    return _ABS_TOL if law.method is Method.ROOT_SOLVE else 0.0
 
 
-def law_measures(
-    law, alpha: AlphaLike, measures, settings: SolverSettings = DEFAULT_SETTINGS
-):
+def law_measures(law, alpha: AlphaLike, measures):
     """The value of one measure (var, cte or mot) of a law at level alpha,
     or, for a tuple or list of measures, their values in that order.
 
@@ -166,7 +164,7 @@ def law_measures(
             )
         if level not in quantiles:
             quantiles[level] = (
-                law.quantile(level) if closed else solve_level(law, level, settings)
+                law.quantile(level) if closed else solve_level(law, level)
             )
         q = quantiles[level]
         if name == "cte":
@@ -175,48 +173,31 @@ def law_measures(
     return tuple(values) if many else values[0]
 
 
-def law_report(
-    law, alpha: AlphaLike, settings: SolverSettings = DEFAULT_SETTINGS
-) -> RiskReport:
+def law_report(law, alpha: AlphaLike) -> RiskReport:
     """VaR, CTE and MoT of a law, with the method and tolerance it states."""
     a = level_of(alpha)
-    var, cte, mot = law_measures(law, a, MEASURES, settings)
+    var, cte, mot = law_measures(law, a, MEASURES)
     return RiskReport(
         alpha=Alpha(a),
         var=var,
         cte=cte,
         mot=mot,
         method=law.method,
-        tolerance=law_tolerance(law, settings),
+        tolerance=law_tolerance(law),
     )
 
 
-def extreme_var(
-    p: BivariatePortfolio,
-    s,
-    alpha: AlphaLike,
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> float:
+def extreme_var(p: BivariatePortfolio, s, alpha: AlphaLike) -> float:
     """Value at risk of the selected extreme, by bracketed root solve."""
-    return law_measures(_mixture(p, s), alpha, "var", settings)
+    return law_measures(_mixture(p, s), alpha, "var")
 
 
-def extreme_mot(
-    p: BivariatePortfolio,
-    s,
-    alpha: AlphaLike,
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> float:
+def extreme_mot(p: BivariatePortfolio, s, alpha: AlphaLike) -> float:
     """Median of the tail beyond VaR: solves F(M) = (1 + alpha) / 2."""
-    return law_measures(_mixture(p, s), alpha, "mot", settings)
+    return law_measures(_mixture(p, s), alpha, "mot")
 
 
-def extreme_cte(
-    p: BivariatePortfolio,
-    s,
-    alpha: AlphaLike,
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> float:
+def extreme_cte(p: BivariatePortfolio, s, alpha: AlphaLike) -> float:
     """Conditional tail expectation of the selected extreme.
 
     A signed sum of closed-form tail integrals divided by 1 - alpha.
@@ -225,14 +206,9 @@ def extreme_cte(
         DivergentTail: for Pareto marginals whose tail exponents make the
             conditional expectation infinite.
     """
-    return law_measures(_mixture(p, s), alpha, "cte", settings)
+    return law_measures(_mixture(p, s), alpha, "cte")
 
 
-def extreme_report(
-    p: BivariatePortfolio,
-    s,
-    alpha: AlphaLike,
-    settings: SolverSettings = DEFAULT_SETTINGS,
-) -> RiskReport:
+def extreme_report(p: BivariatePortfolio, s, alpha: AlphaLike) -> RiskReport:
     """All three measures of the selected extreme at one confidence level."""
-    return law_report(_mixture(p, s), alpha, settings)
+    return law_report(_mixture(p, s), alpha)

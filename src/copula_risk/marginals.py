@@ -66,8 +66,19 @@ AlphaLike = Union[Alpha, float]
 
 
 def level_of(alpha: AlphaLike) -> float:
-    """Return the bare confidence level of an Alpha or float, validated."""
-    a = alpha.value if isinstance(alpha, Alpha) else float(alpha)
+    """Return the bare confidence level of an Alpha or float, validated.
+
+    DomainError for a level outside (0, 1), and for a string or any value
+    that float() cannot convert."""
+    if isinstance(alpha, Alpha):
+        a = alpha.value
+    elif isinstance(alpha, (str, bytes)):  # float() would read "0.9"
+        raise DomainError(f"alpha must be a number, got {alpha!r}")
+    else:
+        try:
+            a = float(alpha)
+        except (TypeError, ValueError):
+            raise DomainError(f"alpha must be a number, got {alpha!r}") from None
     if not 0.0 < a < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {a}")
     return a

@@ -293,10 +293,13 @@ def _tail_mean_estimate(
     qhat = float(xs[r - 1])
     upper = xs[r - 1:]
     tail = upper[upper.searchsorted(qhat, side="right"):]
-    if tail.size < min_tail:
+    # the standard error's ddof=1 variance needs two exceedances whatever
+    # min_tail asks
+    need = max(min_tail, 2)
+    if tail.size < need:
         raise LowTailCount(
             f"only {tail.size} exceedances above the empirical quantile, "
-            f"need at least {min_tail}"
+            f"need at least {need}"
         )
     point = float(tail.mean())
     if point == math.inf:  # the spread of a tail holding inf is inf, not inf - inf

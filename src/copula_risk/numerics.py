@@ -1,15 +1,19 @@
-"""Shared numerical kernels: bracketed root finding and tail quadrature.
+"""Shared numerical kernels: bracketed root finding, closed-form tail
+integrals and an adaptive tail quadrature.
 
 Every distribution function in this package is monotone, cheap and smooth,
 so the root solver favours robustness over iteration count: plain bisection
-converges in at most ceil(log2((hi - lo) / abs_tol)) steps and is fully
-deterministic.
+to the fixed x-axis tolerance _ABS_TOL converges in at most
+ceil(log2((hi - lo) / _ABS_TOL)) steps and is fully deterministic.
+
+No measure is computed by quadrature: `quad_tail` is kept only as the
+tests' oracle for the closed-form tail integrals and for the benchmark
+harness, which still rebinds it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BracketInvalid, DomainError, NoBracket, NoConvergence
@@ -26,30 +30,14 @@ _QUAD_REL_TOL = 1e-10
 
 # bisections that take any finite bracket to adjacent floats (2,099 at most)
 _MAX_BISECTIONS = 2100
+# width on the x axis at which bisection stops; every solved value states it
+_ABS_TOL = 1e-12
 # bound on expand_bracket's doublings
 _MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Tolerance of the root solver, measured on the x axis."""
-
-    abs_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not 0 < self.abs_tol < math.inf:
-            raise DomainError(f"abs_tol must lie in (0, inf), got {self.abs_tol}")
-
-
-DEFAULT_SETTINGS = SolverSettings()
-
-
 def solve_increasing(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    settings: SolverSettings = DEFAULT_SETTINGS,
+    f: Callable[[float], float], target: float, lo: float, hi: float
 ) -> float:
     """Solve f(x) = target for a nondecreasing f bracketed on [lo, hi].
 
@@ -59,7 +47,7 @@ def solve_increasing(
 
     Raises:
         BracketInvalid: if f(lo) > target or f(hi) < target.
-        NoConvergence: if the interval is still wider than abs_tol after
+        NoConvergence: if the interval is still wider than _ABS_TOL after
             _MAX_BISECTIONS bisections.
     """
     flo = f(lo)
@@ -74,7 +62,7 @@ def solve_increasing(
     for _ in range(_MAX_BISECTIONS):
         # the bits of 0.5 * (lo + hi) in the normal range, without overflow
         mid = 0.5 * lo + 0.5 * hi
-        if hi - lo <= settings.abs_tol:
+        if hi - lo <= _ABS_TOL:
             return mid
         if not lo < mid < hi:
             # interval narrower than float resolution
@@ -84,7 +72,7 @@ def solve_increasing(
         else:
             lo = mid
     raise NoConvergence(
-        f"bisection did not reach abs_tol={settings.abs_tol} "
+        f"bisection did not reach width {_ABS_TOL} "
         f"in {_MAX_BISECTIONS} iterations"
     )
 

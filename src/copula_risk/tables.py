@@ -26,7 +26,6 @@ from .copula import FgmCopula
 from .errors import DomainError
 from .extremes import BivariatePortfolio, _mixture, law_measures
 from .marginals import ExponentialMarginal, MarginalLaw, ParetoMarginal
-from .numerics import DEFAULT_SETTINGS, SolverSettings
 
 DEFAULT_THETA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_EXP_RATES = (0.5, 0.6)
@@ -137,11 +136,7 @@ def law_of(portfolio: BivariatePortfolio, target: str):
 
 
 def compute_measure(
-    portfolio: BivariatePortfolio,
-    target: str,
-    measure,
-    alpha: float,
-    settings: SolverSettings = DEFAULT_SETTINGS,
+    portfolio: BivariatePortfolio, target: str, measure, alpha: float
 ):
     """One measure of one target on a portfolio, or a tuple of measures'
     values in the order asked: `law_measures` on `law_of`.
@@ -149,7 +144,7 @@ def compute_measure(
     Raises DomainError for an unknown target or measure, and for a sum of
     marginals that are not exponential.
     """
-    return law_measures(law_of(portfolio, target), alpha, measure, settings)
+    return law_measures(law_of(portfolio, target), alpha, measure)
 
 
 def _printed_value(tdef: TableDef, theta: float) -> Optional[float]:
@@ -159,9 +154,7 @@ def _printed_value(tdef: TableDef, theta: float) -> Optional[float]:
     return None
 
 
-def compute_table(
-    spec: TableSpec, settings: SolverSettings = DEFAULT_SETTINGS
-) -> list[dict]:
+def compute_table(spec: TableSpec) -> list[dict]:
     """One row per theta: computed value, published value and their delta.
 
     The published value is attached only when the request runs the
@@ -178,9 +171,7 @@ def compute_table(
             pareto_x0=spec.pareto_x0,
             pareto_gammas=spec.pareto_gammas,
         )
-        value = compute_measure(
-            portfolio, tdef.target, tdef.measure, spec.alpha, settings
-        )
+        value = compute_measure(portfolio, tdef.target, tdef.measure, spec.alpha)
         published = (
             _printed_value(tdef, theta) if spec.is_reference_setup else None
         )

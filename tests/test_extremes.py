@@ -31,7 +31,7 @@ P1, P2 = ParetoMarginal(1.0, 3.0), ParetoMarginal(1.0, 4.0)
 LARGE_RATES = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 2: the solver's abs_tol = 1e-12 is absolute, so "
+    reason="ROADMAP item 2: the solver's tolerance 1e-12 is absolute, so "
     "the bracket [0, about 1.2e-30] is returned as its midpoint, a quarter "
     "below the root",
 )
@@ -215,7 +215,7 @@ class TestExtremeVar:
                 assert extreme_var(p, "max", alpha) >= max(v1, v2) - 1e-9
 
     # at equal rates the bracket [0, min(q1, q2)] is twice the root and
-    # narrower than abs_tol, so the first midpoint, returned, is the root
+    # narrower than the solver tolerance, so the first midpoint, returned, is the root
     @pytest.mark.parametrize("l2", [1e30, pytest.param(2e30, marks=LARGE_RATES)])
     def test_min_var_at_large_rates(self, l2):
         p = BivariatePortfolio(

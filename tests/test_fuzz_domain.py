@@ -29,7 +29,6 @@ from copula_risk import aggregate, extremes, numerics
 from copula_risk.errors import CopulaRiskError, DomainError
 from copula_risk.extremes import law_measures, law_report, law_tolerance
 from copula_risk.marginals import _mot_level
-from copula_risk.numerics import DEFAULT_SETTINGS
 from copula_risk.tables import build_portfolio, law_of
 
 MEASURES = ("var", "mot", "cte")
@@ -88,7 +87,7 @@ def test_every_bracket_reaches_its_level(data, theta, alpha):
             hi = law.hi(level)
             assert law.cdf(hi) >= level, (target, level, hi)
             try:
-                extremes.solve_level(law, level, DEFAULT_SETTINGS)
+                extremes.solve_level(law, level)
             except CopulaRiskError:  # any other error fails the test
                 pass
 
@@ -122,7 +121,7 @@ def test_no_report_searches_for_a_bracket(monkeypatch, family):
 def reported(p, target, alpha, measures=MEASURES):
     """A target's values of the measures, and the tolerance its report states."""
     law = law_of(p, target)
-    return law_measures(law, alpha, measures), law_tolerance(law, DEFAULT_SETTINGS)
+    return law_measures(law, alpha, measures), law_tolerance(law)
 
 
 def agree(a, ta, b, tb):
@@ -187,7 +186,7 @@ def test_pareto_measures_scale_with_x0(x0_k, g1, g2, theta, alpha):
 @ITEMS_8_AND_2
 @given(rates=rate_pairs(), x0=exponents.map(lambda e: 10.0**e), g1=gammas,
        g2=gammas, theta=thetas, alpha=alphas)
-# the Pareto max's MoT, near 5e4, where abs_tol is below the float spacing
+# the Pareto max's MoT, near 5e4, where the solver tolerance is below the float spacing
 @example(rates=(1.0, 1.0), x0=1e4, g1=1.125, g2=1.625, theta=-1.0, alpha=0.5)
 def test_measures_are_unchanged_by_swapping_the_marginals(
     rates, x0, g1, g2, theta, alpha

@@ -23,6 +23,7 @@ from copula_risk.marginals import (
     var,
 )
 from copula_risk.numerics import quad_tail
+from copula_risk.tables import build_portfolio, compute_measure
 
 EXP1 = ExponentialMarginal(0.5)
 EXP2 = ExponentialMarginal(0.6)
@@ -122,6 +123,15 @@ class TestVar:
 
     def test_accepts_alpha_object(self):
         assert var(EXP1, Alpha(0.9)) == var(EXP1, 0.9)
+
+    # float() reads "0.9" as 0.9; a string is no level, nor what float()
+    # cannot convert
+    @pytest.mark.parametrize("alpha", ["0.9", "abc", b"0.9", None, [0.9]])
+    def test_non_numeric_alpha_is_a_domain_error(self, alpha):
+        with pytest.raises(DomainError, match="must be a number"):
+            var(EXP1, alpha)
+        with pytest.raises(DomainError, match="must be a number"):
+            compute_measure(build_portfolio("exp", 0.5), "min", "var", alpha)
 
     @pytest.mark.parametrize("m", [EXP1, PAR1, ParetoMarginal(1e-3, 45.0)])
     @pytest.mark.parametrize(

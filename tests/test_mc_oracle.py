@@ -384,6 +384,16 @@ class TestEmpiricalEstimators:
         big = np.arange(1.0, 1001.0)
         assert empirical_cte(big, 0.9).point == pytest.approx(950.5)
 
+    # the ddof=1 spread of one exceedance is NaN, and of none 0/0
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sample, alpha, min_tail", [
+        (range(1, 101), 0.99, 1),
+        ([5.0] * 100, 0.9, 0),
+    ])
+    def test_cte_needs_two_exceedances(self, sample, alpha, min_tail):
+        with pytest.raises(LowTailCount, match="need at least 2"):
+            empirical_cte(sample, alpha, min_tail=min_tail)
+
     def test_empty_and_bad_alpha(self):
         with pytest.raises(DomainError):
             empirical_var(np.array([]), 0.9)

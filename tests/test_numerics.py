@@ -10,9 +10,8 @@ from copula_risk.errors import (
     NoBracket,
     NoConvergence,
 )
+from copula_risk import numerics
 from copula_risk.numerics import (
-    DEFAULT_SETTINGS,
-    SolverSettings,
     exp_tail_integral,
     expand_bracket,
     pareto_tail_integral,
@@ -83,7 +82,7 @@ class TestSolveIncreasing:
     def test_reevaluation_property(self, lam, alpha):
         f = lambda x: 1 - math.exp(-lam * x)
         root = solve_increasing(f, alpha, 0.0, 2000.0)
-        # |f(root) - alpha| <= |f'| * abs_tol near the root
+        # |f(root) - alpha| <= |f'| * _ABS_TOL near the root
         assert abs(f(root) - alpha) <= lam * 1e-11
 
 
@@ -231,10 +230,7 @@ class TestQuadTail:
             quad_tail(lambda x: 1.0, 0.0)
 
 
-def test_settings_validation():
-    with pytest.raises(DomainError):
-        SolverSettings(abs_tol=0.0)
-    for tol in (math.inf, math.nan):
-        with pytest.raises(DomainError, match="inf"):
-            SolverSettings(abs_tol=tol)
-    assert DEFAULT_SETTINGS.abs_tol == 1e-12
+def test_solver_stops_at_the_fixed_x_axis_tolerance():
+    assert numerics._ABS_TOL == 1e-12
+    # a bracket no wider than the tolerance is returned as its midpoint
+    assert solve_increasing(lambda x: x, 0.25e-12, 0.0, 1e-12) == 0.5e-12
