@@ -2,7 +2,8 @@
 
 Subcommands:
     measure  one risk measure for one portfolio
-    table    reproduce a published reference table with deltas
+    table    reproduce a published reference table with deltas, at the
+             tables' own setting; any other setting is a `measure` call
     figure   the (theta, VaR, CTE) series behind a published figure
     verify   cross-check every analytic measure against Monte Carlo
 
@@ -150,24 +151,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_table(args) -> int:
-    grid = DEFAULT_THETA_GRID
-    if args.theta_grid is not None:
-        try:
-            grid = tuple(float(t) for t in args.theta_grid.split(","))
-        except ValueError:
-            raise DomainError(
-                "--theta-grid must be comma-separated numbers, "
-                f"got {args.theta_grid!r}"
-            ) from None
-    spec = TableSpec(
-        table_id=args.table_id,
-        theta_grid=grid,
-        alpha=args.alpha,
-        exp_rates=(args.l1, args.l2),
-        pareto_x0=args.x0,
-        pareto_gammas=(args.g1, args.g2),
-    )
-    _emit(compute_table(spec), TABLE_FIELDS, args)
+    _emit(compute_table(TableSpec(args.table_id)), TABLE_FIELDS, args)
     return 0
 
 
@@ -308,7 +292,15 @@ def _add_output_opts(p: argparse.ArgumentParser) -> None:
                    help="output file (default: stdout)")
 
 
-def _add_portfolio_opts(p: argparse.ArgumentParser) -> None:
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="copula-risk",
+        description="Tail risk measures of FGM-coupled bivariate losses.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("measure", help="compute one risk measure")
+    p.add_argument("--dist", choices=("exp", "pareto"), required=True)
     p.add_argument("--l1", type=float, default=DEFAULT_EXP_RATES[0],
                    help="first exponential rate")
     p.add_argument("--l2", type=float, default=DEFAULT_EXP_RATES[1],
@@ -319,18 +311,6 @@ def _add_portfolio_opts(p: argparse.ArgumentParser) -> None:
                    help="first Pareto tail exponent")
     p.add_argument("--g2", type=float, default=DEFAULT_PARETO_GAMMAS[1],
                    help="second Pareto tail exponent")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="copula-risk",
-        description="Tail risk measures of FGM-coupled bivariate losses.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("measure", help="compute one risk measure")
-    p.add_argument("--dist", choices=("exp", "pareto"), required=True)
-    _add_portfolio_opts(p)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--alpha", type=float, default=0.9)
     p.add_argument("--target", choices=("x1", "x2", "min", "max", "sum"),
@@ -339,12 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_opts(p)
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("table", help="reproduce a reference table")
+    p = sub.add_parser("table", help="reproduce a published table as printed")
     p.add_argument("table_id", type=int, choices=sorted(TABLES))
-    p.add_argument("--theta-grid", default=None,
-                   help="comma-separated thetas (default 0.1,0.3,0.5,0.7,0.9)")
-    p.add_argument("--alpha", type=float, default=0.9)
-    _add_portfolio_opts(p)
     _add_output_opts(p)
     p.set_defaults(func=cmd_table)
 

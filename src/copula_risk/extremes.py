@@ -11,10 +11,11 @@ nonnegative factored form. `ParetoTermMixture` is that exponential law read
 at log(x/x0), with its own tail expectation of Pareto terms.
 
 Each target's law (`tables.law_of`) states its `method`. `law_measures`
-reads the quantiles and CTE of a closed-form law (`MarginalLaw`); it solves
-the others, which share `lo`, the left end of the support, `cdf` and the
-closed-form `tail_expectation` int_q^inf x f(x) dx (raising `DivergentTail`
-where it diverges) and `hi(level)`, `_mixtures.upper_end` of its marginals:
+reads the quantiles, each at its tail mass, and CTE of a closed-form law
+(`MarginalLaw`); it solves the others, which share `lo`, the left end of
+the support, `cdf` and the closed-form `tail_expectation` int_q^inf x f(x)
+dx (raising `DivergentTail` where it diverges) and `hi(level)`,
+`_mixtures.upper_end` of its marginals:
 `solve_level` bisects the CDF once on [lo, hi(level)]. `law_report` builds
 every `RiskReport` from `law_measures`, and every public measure of a
 marginal, an extreme or the sum is one call into them.
@@ -141,10 +142,11 @@ def law_measures(law, alpha: AlphaLike, measures):
     or, for a tuple or list of measures, their values in that order.
 
     Each level is found once: VaR at alpha, which CTE reuses, and MoT at
-    (1 + alpha) / 2. A law of `Method.CLOSED_FORM` gives its quantiles and
-    CTE; any other is solved, its CTE the tail integral beyond VaR divided
-    by 1 - alpha. Raises DomainError for another measure, or where the MoT
-    level rounds to 1 (alpha within 2**-53 of 1), for every law alike.
+    (1 + alpha) / 2. A law of `Method.CLOSED_FORM` gives its quantiles, read
+    at the tail mass 1 - alpha or, for the MoT, half of it, and its CTE; any
+    other is solved, its CTE the tail integral beyond VaR divided by
+    1 - alpha. Raises DomainError for another measure, or, for a solved law,
+    where the MoT level rounds to 1 (alpha within 2**-53 of 1).
     """
     many = isinstance(measures, (tuple, list))
     names = tuple(measures) if many else (measures,)
@@ -157,15 +159,17 @@ def law_measures(law, alpha: AlphaLike, measures):
     values = []
     for name in names:
         level = _mot_level(a) if name == "mot" else a
-        if not level < 1.0:  # a solved CDF rounds to 1 at some finite x
-            raise DomainError(
-                f"quantile level must lie in [0, 1), got {level!r} for "
-                f"{name} at alpha={a!r}"
-            )
         if level not in quantiles:
-            quantiles[level] = (
-                law.quantile(level) if closed else solve_level(law, level)
-            )
+            if closed:  # 1 - a and its half are exact where (1 + a)/2 rounds
+                s = 0.5 * (1.0 - a) if name == "mot" else 1.0 - a
+                quantiles[level] = law.quantile(level, s)
+            elif level < 1.0:
+                quantiles[level] = solve_level(law, level)
+            else:  # a solved CDF rounds to 1 at some finite x
+                raise DomainError(
+                    f"quantile level must lie in [0, 1), got {level!r} for "
+                    f"{name} at alpha={a!r}"
+                )
         q = quantiles[level]
         if name == "cte":
             q = law.cte_beyond(q, a) if closed else law.tail_expectation(q) / (1.0 - a)

@@ -58,8 +58,7 @@ class Alpha:
     value: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.value < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.value}")
+        _checked_level(self.value)
 
 
 AlphaLike = Union[Alpha, float]
@@ -70,15 +69,16 @@ def level_of(alpha: AlphaLike) -> float:
 
     DomainError for a level outside (0, 1), and for a string or any value
     that float() cannot convert."""
-    if isinstance(alpha, Alpha):
-        a = alpha.value
-    elif isinstance(alpha, (str, bytes)):  # float() would read "0.9"
+    return alpha.value if isinstance(alpha, Alpha) else _checked_level(alpha)
+
+
+def _checked_level(alpha) -> float:
+    if isinstance(alpha, (str, bytes)):  # float() would read "0.9"
         raise DomainError(f"alpha must be a number, got {alpha!r}")
-    else:
-        try:
-            a = float(alpha)
-        except (TypeError, ValueError):
-            raise DomainError(f"alpha must be a number, got {alpha!r}") from None
+    try:
+        a = float(alpha)
+    except (TypeError, ValueError):
+        raise DomainError(f"alpha must be a number, got {alpha!r}") from None
     if not 0.0 < a < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {a}")
     return a
@@ -207,13 +207,14 @@ class MarginalLaw:
     m: Marginal
     method = Method.CLOSED_FORM
 
-    def quantile(self, a: float) -> float:
-        """The quantile at one level a in (0, 1), in math: `quantile`'s formulas."""
+    def quantile(self, a: float, s: float) -> float:
+        """The quantile at one level a in (0, 1) of tail mass s, in math:
+        `quantile`'s formulas."""
         if _dispatch(self.m) == "exp" and a < 0.5:
             return -math.log1p(-a) / self.m.rate
-        # 1 - a is exact for a >= 1/2, where log(1 - a) rounds correctly more
-        # often than log1p(-a)
-        return _tail_quantile(self.m, 1.0 - a)
+        # for a >= 1/2, s is exact where a may round (the MoT level), and
+        # log(s) rounds correctly more often than log1p(-a)
+        return _tail_quantile(self.m, s)
 
     def cte_beyond(self, q: float, a: float) -> float:
         """E[X | X > q] for q the VaR at level a; see `cte`."""
@@ -250,7 +251,8 @@ def cte(m: Marginal, alpha: AlphaLike) -> float:
 
 
 def mot(m: Marginal, alpha: AlphaLike) -> float:
-    """Median of the tail beyond VaR: the quantile at level (1 + alpha)/2."""
+    """Median of the tail beyond VaR: the quantile at level (1 + alpha)/2,
+    read at its tail mass (1 - alpha)/2."""
     return _measure(m, alpha, "mot")
 
 

@@ -6,8 +6,11 @@ registry keeps the values exactly as published; the `suspect_thetas`
 field marks cells whose published entry fails independent recomputation
 from the defining equations (the computed value also disagrees with a
 Monte Carlo estimate by far more than sampling error, so the published
-entries themselves appear to be misprints). Computed output never
-substitutes a published value: tables always carry both plus their delta.
+entries themselves appear to be misprints). `compute_table` computes a
+table's published cells at the published setting alone (rates 0.5 and 0.6;
+Pareto x0 = 1 with gammas 3 and 4), and never substitutes a published
+value: each row carries both plus their delta. Any other setting is one
+`compute_measure` call away.
 
 `build_portfolio` assembles one `BivariatePortfolio` per family and theta.
 `law_of` gives the law of any target on it: a marginal (x1, x2), the
@@ -19,7 +22,7 @@ law through `extremes.law_measures`, the one path of every measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .aggregate import _SumLaw
 from .copula import FgmCopula
@@ -81,28 +84,13 @@ FIGURES: dict[int, tuple[int, int]] = {1: (1, 2), 2: (5, 6), 3: (9, 10)}
 
 @dataclass(frozen=True)
 class TableSpec:
-    """A table request: which table, over which grid and parameters."""
+    """A table request: which published table to reproduce."""
 
     table_id: int
-    theta_grid: tuple = DEFAULT_THETA_GRID
-    alpha: float = DEFAULT_TABLE_ALPHA
-    exp_rates: tuple = DEFAULT_EXP_RATES
-    pareto_x0: float = DEFAULT_PARETO_X0
-    pareto_gammas: tuple = DEFAULT_PARETO_GAMMAS
 
     def __post_init__(self) -> None:
         if self.table_id not in TABLES:
             raise DomainError(f"table_id must lie in 1..15, got {self.table_id}")
-
-    @property
-    def is_reference_setup(self) -> bool:
-        """True when parameters match the published tables' settings."""
-        return (
-            self.alpha == DEFAULT_TABLE_ALPHA
-            and tuple(self.exp_rates) == DEFAULT_EXP_RATES
-            and self.pareto_x0 == DEFAULT_PARETO_X0
-            and tuple(self.pareto_gammas) == DEFAULT_PARETO_GAMMAS
-        )
 
 
 def build_portfolio(
@@ -147,33 +135,16 @@ def compute_measure(
     return law_measures(law_of(portfolio, target), alpha, measure)
 
 
-def _printed_value(tdef: TableDef, theta: float) -> Optional[float]:
-    for k, v in tdef.printed.items():
-        if abs(k - theta) < 1e-9:
-            return v
-    return None
-
-
 def compute_table(spec: TableSpec) -> list[dict]:
-    """One row per theta: computed value, published value and their delta.
-
-    The published value is attached only when the request runs the
-    tables' own parameter settings; rounding is for display elsewhere,
-    never here.
-    """
+    """One row per published cell: computed value, published value and
+    their delta, at the tables' own alpha and portfolio. Rounding is for
+    display elsewhere, never here."""
     tdef = TABLES[spec.table_id]
     rows = []
-    for theta in spec.theta_grid:
-        portfolio = build_portfolio(
-            tdef.family,
-            theta,
-            exp_rates=spec.exp_rates,
-            pareto_x0=spec.pareto_x0,
-            pareto_gammas=spec.pareto_gammas,
-        )
-        value = compute_measure(portfolio, tdef.target, tdef.measure, spec.alpha)
-        published = (
-            _printed_value(tdef, theta) if spec.is_reference_setup else None
+    for theta, published in tdef.printed.items():
+        portfolio = build_portfolio(tdef.family, theta)
+        value = compute_measure(
+            portfolio, tdef.target, tdef.measure, DEFAULT_TABLE_ALPHA
         )
         rows.append(
             {
@@ -183,7 +154,7 @@ def compute_table(spec: TableSpec) -> list[dict]:
                 "target": tdef.target,
                 "value": value,
                 "paper_value": published,
-                "delta": None if published is None else value - published,
+                "delta": value - published,
             }
         )
     return rows

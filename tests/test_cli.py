@@ -212,17 +212,15 @@ class TestTable:
         assert float(first["paper_value"]) == 2.64
         assert abs(float(first["delta"])) > 0.1
 
-    def test_custom_theta_grid(self, capsys):
-        rc, out, _ = run_cli(capsys, "table", "9", "--theta-grid", "0.2,0.6")
-        rows = parse_csv(out)
-        assert [float(r["theta"]) for r in rows] == [0.2, 0.6]
-        assert all(r["paper_value"] == "" for r in rows)
-
-    def test_non_numeric_theta_grid_is_a_parameter_error(self, capsys):
-        for grid in ("0.1,abc", ""):
-            assert_one_error_record(
-                capsys, "comma-separated", "table", "1", "--theta-grid", grid
-            )
+    # a table is printed at its own setting; any other is a `measure` call
+    @pytest.mark.parametrize(
+        "option", ["--theta-grid", "--alpha", "--l1", "--l2", "--x0", "--g1", "--g2"]
+    )
+    def test_takes_no_parameter_option(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "9", option, "0.5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "t1.csv"

@@ -65,6 +65,27 @@ class TestConstruction:
             extreme_cdf(p, "median", 1.0)
 
 
+# branches no other test reaches: a density below the support, and a
+# marginal of neither family
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: extreme_pdf(exp_portfolio(0.5), "min", -1.0),
+        lambda: extreme_pdf(pareto_portfolio(0.5), "max", 0.5),
+        lambda: BivariatePortfolio(object(), object(), FgmCopula(0.0)),
+        lambda: marginal_cdf(object(), 1.0),
+    ],
+    ids=["exp-pdf-below-0", "pareto-pdf-below-x0", "portfolio", "marginal-cdf"],
+)
+def test_outside_the_support_or_the_families(call):
+    try:
+        got = call()
+    except DomainError as exc:
+        assert "unsupported marginal type: object" in str(exc)
+    else:
+        assert got == 0.0
+
+
 class TestExtremeCdf:
     def test_independent_min_published_quantile(self):
         assert extreme_cdf(exp_portfolio(0.0), "min", 2.09) == pytest.approx(
@@ -183,6 +204,33 @@ class TestExtremePdf:
         dens = extreme_pdf(p, which, q)
         assert math.isfinite(dens)
         assert dens == pytest.approx(fd, rel=1e-6)
+
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 9: the signed survival terms cancel near x = 0 "
+        "and max(val, 0.0) clips what is left",
+    )
+    @pytest.mark.parametrize(
+        "rates, x", [((0.5, 0.6), 1e-9), ((0.0909, 0.1335), 7.8e-9)]
+    )
+    def test_countermonotone_max_density_near_zero(self, rates, x):
+        # d/dx C(F1, F2) at theta = -1 is about 1e-18 here; the density
+        # reads 4.4e-16 at the paper's rates and 0.0 at the others
+        mp = pytest.importorskip("mpmath")
+        p = BivariatePortfolio(
+            ExponentialMarginal(rates[0]), ExponentialMarginal(rates[1]),
+            FgmCopula(-1.0),
+        )
+        got = extreme_pdf(p, "max", x)
+        with mp.workdps(60):
+            def copula_cdf_max(t):
+                f1, f2 = (-mp.expm1(-mp.mpf(r) * t) for r in rates)
+                return f1 * f2 * (1 - (1 - f1) * (1 - f2))
+
+            want = mp.diff(copula_cdf_max, mp.mpf(x))
+            assert abs(got - want) <= 1e-6 * want
 
 
 class TestExtremeVar:

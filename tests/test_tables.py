@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from copula_risk.errors import DomainError
@@ -77,17 +79,6 @@ def test_suspect_cells_disagree_with_print():
                 assert abs(row["delta"]) > 0.02
 
 
-def test_custom_grid_has_no_published_column():
-    rows = compute_table(TableSpec(table_id=1, theta_grid=(0.2, 0.45)))
-    assert all(r["paper_value"] is None and r["delta"] is None for r in rows)
-    assert rows[0]["value"] < rows[1]["value"]
-
-
-def test_custom_parameters_drop_published_column():
-    rows = compute_table(TableSpec(table_id=1, exp_rates=(0.4, 0.7)))
-    assert all(r["paper_value"] is None for r in rows)
-
-
 def test_invalid_table_id():
     with pytest.raises(DomainError):
         TableSpec(table_id=16)
@@ -163,10 +154,17 @@ def test_a_tuple_of_measures_gives_each_value_in_order(family, target):
 def test_mot_level_rounding_to_one_is_a_domain_error(family, target, measure):
     # (1 + alpha)/2 rounds to 1.0 for the largest alpha below 1, and a
     # solved CDF rounds to 1.0 at a finite x (34.396 for the exp min at
-    # theta = 0.5), which must not pass for the MoT
+    # theta = 0.5), which must not pass for the MoT. A marginal's closed
+    # form reads the exact tail mass 2**-54: -log(2**-54)/rate
     alpha = 1.0 - 2.0**-53
     p = build_portfolio(family, 0.5)
-    with pytest.raises(DomainError, match="must lie in \\[0, 1\\)"):
-        compute_measure(p, target, measure, alpha)
+    if target in ("x1", "x2"):
+        rate = (p.m1 if target == "x1" else p.m2).rate
+        value = compute_measure(p, target, measure, alpha)
+        mot = value[-1] if isinstance(measure, tuple) else value
+        assert mot == pytest.approx(54.0 * math.log(2.0) / rate, rel=5e-16)
+    else:
+        with pytest.raises(DomainError, match="must lie in \\[0, 1\\)"):
+            compute_measure(p, target, measure, alpha)
     var, cte = compute_measure(p, target, ("var", "cte"), alpha)
     assert var < cte
