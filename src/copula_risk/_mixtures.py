@@ -1,7 +1,7 @@
 """Survival-term mixtures underlying the composite distributions.
 
-The FGM density splits into four weighted pairs of independent marginals
-(`fgm_pairs`); the minimum, maximum and sum laws are all read from them.
+The FGM density splits into at most four weighted pairs of independent
+marginals (`fgm_pairs`); the minimum, maximum and sum laws all read them.
 The exponential extremes' CDF is the copula formula, F_max = C(F1, F2)
 and S_min = C^(S1, S2), factored into nonnegative terms; density and tail
 expectation sum the signed survival terms w_i * exp(-r_i x) of
@@ -45,9 +45,7 @@ def upper_end(target: str, m1: Marginal, m2: Marginal, level: float) -> float:
 def extreme_terms(p1: float, p2: float, theta: float, target: str) -> Terms:
     """The signed survival terms (w, i*p1 + j*p2) of the min, over the pairs
     (w, i, j) of `fgm_pairs`, or of the max: S1 + S2 - P(min > x)."""
-    # a weight of exactly 0 (1 + theta at theta = -1) adds nothing to S, but
-    # its exponent would decide whether a Pareto tail expectation diverges
-    terms = tuple((w, i * p1 + j * p2) for w, i, j in fgm_pairs(theta) if w)
+    terms = tuple((w, i * p1 + j * p2) for w, i, j in fgm_pairs(theta))
     if target == "max":
         terms = ((1.0, p1), (1.0, p2)) + tuple((-w, r) for w, r in terms)
     return terms
@@ -149,10 +147,9 @@ def fgm_pairs(theta: float) -> tuple[tuple[float, int, int], ...]:
     f1*f2*(1 + theta*(2*S1 - 1)*(2*S2 - 1)) = sum of w * g_i1 * g_j2, with
     g_ik the density of marginal k at i times its rate or tail exponent:
     fk * 2*Sk is that density at twice the parameter, for both families.
+    Entries of weight 0 (at theta = 0 or -1) are left out: a Pareto pair's
+    exponent would decide whether a tail expectation diverges, and 0 times
+    an overflowed pair's NaN is NaN.
     """
-    return (
-        (1.0 + theta, 1, 1),
-        (-theta, 2, 1),
-        (-theta, 1, 2),
-        (theta, 2, 2),
-    )
+    pairs = ((1.0 + theta, 1, 1), (-theta, 2, 1), (-theta, 1, 2), (theta, 2, 2))
+    return tuple(pair for pair in pairs if pair[0])

@@ -6,17 +6,19 @@ densities, so X1 + X2 is a signed mixture of four hypoexponential pairs:
 weights (1 + theta, -theta, -theta, theta) on the rate pairs (l1, l2),
 (2*l1, l2), (l1, 2*l2) and (2*l1, 2*l2), the entries (w, i, j) of the
 table `_mixtures.fgm_pairs` at (i*l1, j*l2) that the min and max read too.
+`fgm_pairs` leaves out the pairs of weight 0, so at theta = 0 the sum is
+one pair. The CDF, density and tail integral loop over one table of them.
 
-Each pair (a, b), with b the smaller rate and d = a - b, is written through
-the divided difference of the exponential, phi(z) = -expm1(-z)/z with
-phi(0) = 1 (McCurdy, Ng and Parlett, Math. Comp. 43, 1984):
+Each pair (a, b), with b the smaller rate and e = b - a <= 0, is written
+through the divided difference of the exponential, phi(z) = expm1(z)/z
+with phi(0) = 1 (McCurdy, Ng and Parlett, Math. Comp. 43, 1984):
 
-    S(x)                  = exp(-b*x) * (1 + b*x*phi(d*x))
-    f(x)                  = a * exp(-b*x) * b*x*phi(d*x)
+    S(x)                  = exp(-b*x) * (1 + b*x*phi(e*x))
+    f(x)                  = a * exp(-b*x) * b*x*phi(e*x)
     int_q^inf x f(x) dx   = exp(-b*q) * (q*(1 + g) + 1/a + 1/b + g/a),
-                            with g = b*q*phi(d*q)
+                            with g = b*q*phi(e*q)
 
-These are smooth through d = 0, where the pair is Erlang(2, b), so equal
+These are smooth through e = 0, where the pair is Erlang(2, b), so equal
 and 2:1 rates take the same path as every other rate pair.
 
 The sum is measured on the same `BivariatePortfolio` as the min and max.
@@ -33,7 +35,7 @@ from functools import partial
 from math import exp, expm1, inf
 
 from ._mixtures import fgm_pairs, upper_end
-from .errors import DomainError
+from .errors import DomainError, number
 from .extremes import BivariatePortfolio, law_measures, law_report
 from .marginals import AlphaLike, ExponentialMarginal, Method, RiskReport
 
@@ -84,14 +86,16 @@ def is_singular(p: BivariatePortfolio) -> bool:
 
 
 def _phi(z: float) -> float:
-    """-expm1(-z)/z, the divided difference of exp(-t) over [0, z]; 1 at 0."""
-    return -expm1(-z) / z if z else 1.0
+    """expm1(z)/z, the divided difference of exp(t) over [z, 0]; 1 at 0."""
+    return expm1(z) / z if z else 1.0
 
 
 class _SumLaw:
-    """Distribution of X1 + X2 as four weighted hypoexponential pairs."""
+    """Distribution of X1 + X2: `cdf`, `pdf` and `tail_expectation` loop over
+    `_pairs`, the pairs of `fgm_pairs` as (w, -b, b - a, b, a), whose signs
+    are folded in so that the root solver's calls to `cdf` negate nothing."""
 
-    __slots__ = ("_pairs", "_k", "hi")
+    __slots__ = ("_pairs", "hi")
     lo = 0.0
     method = Method.ROOT_SOLVE
 
@@ -100,48 +104,23 @@ class _SumLaw:
         self.hi = partial(upper_end, "sum", p.m1, p.m2)
         l1, l2 = p.m1.rate, p.m2.rate
         if l1 > l2:
-            # the pairs and weights are symmetric under swapping the rates
+            # the pairs and weights are symmetric under swapping the rates;
+            # ordering them keeps every bit when x1 and x2 swap
             l1, l2 = l2, l1
-        # (weight, a, b) with b = min(a, b) the rate of the slower term
-        self._pairs = tuple(
+        pairs = (  # (w, a, b) with b = min(a, b) the slower rate
             (w, max(i * l1, j * l2), min(i * l1, j * l2))
             for w, i, j in fgm_pairs(p.copula.theta)
         )
-        # cdf constants: rates, weights, the rate gaps of the first three
-        # pairs, and the second pair's slower rate b1 with whether it is 2*l1
-        (w0, _, _), (_, a1, b1), (_, a2, _), (th, _, _) = self._pairs
-        self._k = (
-            l1, l2, w0, th,
-            l2 - l1, a1 - b1, a2 - l1,
-            b1, b1 == 2.0 * l1,
-        )
+        self._pairs = tuple((w, -b, b - a, b, a) for w, a, b in pairs)
 
     def cdf(self, x: float) -> float:
-        """1 - S(x), written out for the root solver's inner loop.
-
-        With l1 <= l2 the slower rates of the four pairs are l1, b1, l1 and
-        2*l1, so two exponentials and their squares cover every decay.
-        """
+        """1 - S(x), with phi written out for the root solver's inner loop."""
         if x <= 0.0:
             return 0.0
-        l1, l2, w0, th, d0, d1, d2, b1, b1_is_2l1 = self._k
-        e1 = exp(-l1 * x)
-        e11 = e1 * e1
-        eb1 = e11 if b1_is_2l1 else exp(-l2 * x)
-        z = d0 * x
-        h0 = -expm1(-z) / z if z else 1.0
-        z += z  # the gap of the pair (2*l1, 2*l2) is 2*d0
-        h3 = -expm1(-z) / z if z else 1.0
-        z = d1 * x
-        h1 = -expm1(-z) / z if z else 1.0
-        z = d2 * x
-        h2 = -expm1(-z) / z if z else 1.0
-        lx = l1 * x
-        s = w0 * e1 * (1.0 + lx * h0) + th * (
-            e11 * (1.0 + 2.0 * lx * h3)
-            - eb1 * (1.0 + b1 * x * h1)
-            - e1 * (1.0 + lx * h2)
-        )
+        s = 0.0
+        for w, nb, nd, b, _ in self._pairs:
+            z = nd * x
+            s += w * exp(nb * x) * (1.0 + b * x * (expm1(z) / z if z else 1.0))
         c = 1.0 - s
         return c if 0.0 <= c <= 1.0 else (0.0 if c < 0.0 else 1.0)
 
@@ -150,22 +129,23 @@ class _SumLaw:
         if not 0.0 < x < inf:
             return 0.0
         val = sum(
-            w * a * exp(-b * x) * (b * x) * _phi((a - b) * x)
-            for w, a, b in self._pairs
+            w * a * exp(nb * x) * (b * x) * _phi(nd * x)
+            for w, nb, nd, b, a in self._pairs
         )
         return max(val, 0.0)
 
     def tail_expectation(self, q: float) -> float:
         """int_q^inf x f(x) dx, pair by pair in closed form."""
         total = 0.0
-        for w, a, b in self._pairs:
-            g = b * q * _phi((a - b) * q)
-            total += w * exp(-b * q) * (q * (1.0 + g) + 1.0 / a + 1.0 / b + g / a)
+        for w, nb, nd, b, a in self._pairs:
+            g = b * q * _phi(nd * q)
+            total += w * exp(nb * q) * (q * (1.0 + g) + 1.0 / a + 1.0 / b + g / a)
         return total
 
 
 def aggregate_pdf(p: BivariatePortfolio, x: float) -> float:
     """Density of X1 + X2 at x >= 0."""
+    x = number("x", x)
     if not x >= 0.0:  # NaN fails the check too
         raise DomainError(f"x must be nonnegative, got {x}")
     return _SumLaw(p).pdf(x)
@@ -173,6 +153,7 @@ def aggregate_pdf(p: BivariatePortfolio, x: float) -> float:
 
 def aggregate_cdf(p: BivariatePortfolio, x: float) -> float:
     """Distribution function of X1 + X2 at x >= 0."""
+    x = number("x", x)
     if not x >= 0.0:  # NaN fails the check too
         raise DomainError(f"x must be nonnegative, got {x}")
     return _SumLaw(p).cdf(x)

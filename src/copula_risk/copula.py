@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, number
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,9 @@ class FgmCopula:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and -1.0 <= self.theta <= 1.0):
-            raise DomainError(f"theta must lie in [-1, 1], got {self.theta}")
+        theta = number("theta", self.theta)
+        if not (math.isfinite(theta) and -1.0 <= theta <= 1.0):
+            raise DomainError(f"theta must lie in [-1, 1], got {theta}")
 
 
 def _unit(name: str, x):

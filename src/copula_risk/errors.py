@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `number`, its input check."""
 
 
 class CopulaRiskError(Exception):
@@ -27,3 +27,14 @@ class DivergentTail(CopulaRiskError):
 
 class LowTailCount(CopulaRiskError):
     """Too few tail exceedances for a reliable empirical estimate."""
+
+
+def number(name: str, value) -> float:
+    """float(value); DomainError for a str or bytes, which float() would
+    read ("0.5"), and for anything float() cannot convert or overflows on."""
+    if isinstance(value, (str, bytes)):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # 10**5000 has no repr
+        raise DomainError(f"{name} must be a number: {exc}") from None

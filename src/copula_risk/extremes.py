@@ -30,7 +30,7 @@ from sys import float_info
 
 from ._mixtures import ExpTermMixture, ParetoTermMixture, upper_end
 from .copula import FgmCopula
-from .errors import DomainError
+from .errors import DomainError, number
 from .marginals import (
     Alpha,
     AlphaLike,
@@ -66,6 +66,8 @@ class BivariatePortfolio:
     copula: FgmCopula
 
     def __post_init__(self) -> None:
+        if not isinstance(self.copula, FgmCopula):
+            raise DomainError(f"copula must be an FgmCopula, got {self.copula!r}")
         if type(self.m1) is not type(self.m2):
             raise DomainError(
                 "both marginals must belong to the same family, got "
@@ -101,6 +103,7 @@ def extreme_cdf(p: BivariatePortfolio, s, x: float) -> float:
     Equals u + v - C(u, v) for the minimum and C(u, v) for the maximum,
     with u = F1(x), v = F2(x).
     """
+    x = number("x", x)
     if isnan(x):
         raise DomainError("x must not be NaN")
     return _mixture(p, s).cdf(x)
@@ -108,6 +111,7 @@ def extreme_cdf(p: BivariatePortfolio, s, x: float) -> float:
 
 def extreme_pdf(p: BivariatePortfolio, s, x: float) -> float:
     """Density of the selected extreme at x."""
+    x = number("x", x)
     if isnan(x):
         raise DomainError("x must not be NaN")
     return _mixture(p, s).pdf(x)
@@ -145,8 +149,9 @@ def law_measures(law, alpha: AlphaLike, measures):
     (1 + alpha) / 2. A law of `Method.CLOSED_FORM` gives its quantiles, read
     at the tail mass 1 - alpha or, for the MoT, half of it, and its CTE; any
     other is solved, its CTE the tail integral beyond VaR divided by
-    1 - alpha. Raises DomainError for another measure, or, for a solved law,
-    where the MoT level rounds to 1 (alpha within 2**-53 of 1).
+    1 - alpha. Raises DomainError for another measure, for a CTE that is NaN
+    or below its VaR, or, for a solved law, where the MoT level rounds to 1
+    (alpha within 2**-53 of 1).
     """
     many = isinstance(measures, (tuple, list))
     names = tuple(measures) if many else (measures,)
@@ -172,7 +177,10 @@ def law_measures(law, alpha: AlphaLike, measures):
                 )
         q = quantiles[level]
         if name == "cte":
+            var = q
             q = law.cte_beyond(q, a) if closed else law.tail_expectation(q) / (1.0 - a)
+            if not q >= var:  # NaN fails the check too
+                raise DomainError(f"cte={q!r} must be at least var={var!r}")
         values.append(q)
     return tuple(values) if many else values[0]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .errors import DivergentTail, DomainError
+from .errors import DivergentTail, DomainError, number
 from .numerics import exp_tail_integral, pareto_tail_integral
 
 
@@ -28,8 +28,9 @@ class ExponentialMarginal:
     rate: float
 
     def __post_init__(self) -> None:
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise DomainError(f"rate must be positive and finite, got {self.rate}")
+        rate = number("rate", self.rate)
+        if not (rate > 0 and math.isfinite(rate)):
+            raise DomainError(f"rate must be positive and finite, got {rate}")
 
 
 @dataclass(frozen=True)
@@ -40,12 +41,11 @@ class ParetoMarginal:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not (self.x0 > 0 and math.isfinite(self.x0)):
-            raise DomainError(f"x0 must be positive and finite, got {self.x0}")
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise DomainError(
-                f"gamma must be positive and finite, got {self.gamma}"
-            )
+        x0, gamma = number("x0", self.x0), number("gamma", self.gamma)
+        if not (x0 > 0 and math.isfinite(x0)):
+            raise DomainError(f"x0 must be positive and finite, got {x0}")
+        if not (gamma > 0 and math.isfinite(gamma)):
+            raise DomainError(f"gamma must be positive and finite, got {gamma}")
 
 
 Marginal = Union[ExponentialMarginal, ParetoMarginal]
@@ -73,12 +73,7 @@ def level_of(alpha: AlphaLike) -> float:
 
 
 def _checked_level(alpha) -> float:
-    if isinstance(alpha, (str, bytes)):  # float() would read "0.9"
-        raise DomainError(f"alpha must be a number, got {alpha!r}")
-    try:
-        a = float(alpha)
-    except (TypeError, ValueError):
-        raise DomainError(f"alpha must be a number, got {alpha!r}") from None
+    a = number("alpha", alpha)
     if not 0.0 < a < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {a}")
     return a
@@ -118,12 +113,13 @@ class RiskReport:
     tolerance: float
 
     def __post_init__(self) -> None:
-        # MoT sits strictly deeper in the tail than VaR, and the mean of the
-        # tail exceeds its left endpoint, for every continuous family in scope
+        # MoT sits deeper in the tail than VaR, and the mean of the tail
+        # exceeds its left endpoint, for every continuous family in scope;
+        # either may round onto VaR (gamma/(gamma - 1) is 1.0 at 1e16)
         if not self.var <= self.mot:
             raise DomainError(f"var={self.var} must not exceed mot={self.mot}")
-        if not self.var < self.cte:
-            raise DomainError(f"var={self.var} must lie below cte={self.cte}")
+        if not self.var <= self.cte:
+            raise DomainError(f"var={self.var} must not exceed cte={self.cte}")
 
 
 def _dispatch(m: Marginal):

@@ -252,7 +252,8 @@ def test_criterion_6_oracle_suite(tmp_path):
         "verify", "--mc-n", "1000000", "--seed", "42", "--out", str(out),
     ])
     elapsed = time.perf_counter() - t0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as f:
+        rows = list(csv.DictReader(f))
     bad = []
     if rc != 0:
         bad.append(f"verify exited {rc}")

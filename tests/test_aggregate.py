@@ -91,10 +91,11 @@ class TestPdf:
     def test_nan_rejected_and_zero_at_infinity(self, l2):
         # equal, 2:1 and generic rates: inf*0 in a pair's terms gave NaN
         p = portfolio(0.7, 0.5, l2)
-        with pytest.raises(DomainError):
-            aggregate_pdf(p, math.nan)
-        with pytest.raises(DomainError):
-            aggregate_cdf(p, math.nan)
+        for bad in (math.nan, "1", b"1", None, 10**400):
+            with pytest.raises(DomainError):
+                aggregate_pdf(p, bad)
+            with pytest.raises(DomainError):
+                aggregate_cdf(p, bad)
         assert aggregate_pdf(p, math.inf) == 0.0
         assert aggregate_cdf(p, math.inf) == 1.0
 

@@ -93,6 +93,24 @@ class TestMeasure:
             expected, rel=1e-10, abs=0.0
         )
 
+    # the sum's tail integral overflows to NaN at rates 1e308; the Pareto
+    # extremes' cancels to 0 at exponents 1e20. Each printed that value
+    # and exited 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--dist", "exp", "--l1", "1e308", "--l2", "1e308", "--target", "sum"],
+            ["--dist", "pareto", "--g1", "1e20", "--g2", "1e20", "--target", "max"],
+            ["--dist", "pareto", "--g1", "1e20", "--g2", "1e20", "--target", "min"],
+        ],
+        ids=["exp-sum", "pareto-max", "pareto-min"],
+    )
+    def test_cte_below_its_var_is_a_parameter_error(self, capsys, argv):
+        assert_one_error_record(
+            capsys, "must be at least var", "measure", *argv, "--theta", "0.5",
+            "--measure", "cte",
+        )
+
     def test_independent_max_cte_default_rates(self, capsys):
         rc, out, _ = run_cli(
             capsys, "measure", "--dist", "exp", "--theta", "0",

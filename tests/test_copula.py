@@ -24,7 +24,7 @@ class TestConstruction:
     def test_theta_validated_once(self):
         FgmCopula(-1.0)
         FgmCopula(1.0)
-        for bad in (-1.001, 1.5, float("nan")):
+        for bad in (-1.001, 1.5, float("nan"), "0.5", b"0.5", None, 10**400):
             with pytest.raises(DomainError):
                 FgmCopula(bad)
 

@@ -56,6 +56,11 @@ class TestConstruction:
                 ParetoMarginal(1.0, 3.0), ParetoMarginal(2.0, 4.0), FgmCopula(0.0)
             )
 
+    def test_copula_must_be_fgm(self):
+        # a bare theta used to build, and failed when measured
+        with pytest.raises(DomainError, match="FgmCopula"):
+            BivariatePortfolio(E1, E2, 0.5)
+
     def test_selector_accepts_strings_and_enum(self):
         p = exp_portfolio(0.3)
         assert extreme_cdf(p, "min", 1.0) == extreme_cdf(
@@ -107,10 +112,11 @@ class TestExtremeCdf:
     @pytest.mark.parametrize("make", [exp_portfolio, pareto_portfolio])
     def test_nan_rejected_and_limits_at_infinity(self, make, which):
         p = make(0.4)
-        with pytest.raises(DomainError):
-            extreme_cdf(p, which, math.nan)
-        with pytest.raises(DomainError):
-            extreme_pdf(p, which, math.nan)
+        for bad in (math.nan, "1", b"1", None, 10**400):
+            with pytest.raises(DomainError):
+                extreme_cdf(p, which, bad)
+            with pytest.raises(DomainError):
+                extreme_pdf(p, which, bad)
         assert extreme_cdf(p, which, math.inf) == 1.0
         assert extreme_pdf(p, which, math.inf) == 0.0
 

@@ -46,13 +46,13 @@ def _mp_mot(m, alpha):
 
 class TestConstruction:
     def test_invalid_parameters(self):
-        for bad in (0.0, -1.0, math.inf, math.nan):
+        # float() reads "0.5", cannot convert None and overflows on 10**400
+        for bad in (0.0, -1.0, math.inf, math.nan, "0.5", b"0.5", None, 10**400):
             with pytest.raises(DomainError):
                 ExponentialMarginal(bad)
-        with pytest.raises(DomainError):
-            ParetoMarginal(0.0, 3.0)
-        with pytest.raises(DomainError):
-            ParetoMarginal(1.0, -2.0)
+        for x0, gamma in ((0.0, 3.0), (1.0, -2.0), ("1", 3.0), (1.0, None)):
+            with pytest.raises(DomainError):
+                ParetoMarginal(x0, gamma)
 
     def test_alpha_bounds(self):
         Alpha(0.5)
@@ -301,6 +301,14 @@ class TestRiskReport:
         assert r.method is Method.CLOSED_FORM
         assert r.tolerance == 0.0
         assert r.alpha.value == 0.9
+
+    def test_cte_may_round_onto_var(self):
+        # gamma/(gamma - 1) rounds to 1, so the correctly rounded VaR, CTE
+        # and MoT of this Pareto law are one float
+        m = ParetoMarginal(1.0, 1e16)
+        r = report(m, 0.9)
+        assert r.var == r.cte == r.mot == 1.0000000000000002
+        assert (var(m, 0.9), cte(m, 0.9)) == (r.var, r.cte)
 
     def test_invariants_enforced(self):
         a = Alpha(0.9)

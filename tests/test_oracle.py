@@ -8,15 +8,17 @@ table that the min, max and sum laws read, on a fixed grid: the cells of
 the 15 published tables and the analytic values of the `verify` grid.
 
 The extremes' CDFs are also fuzzed against the copula formula itself,
-F_max = C(F1, F2) and F_min = 1 - C^(S1, S2), in mpmath at 60 digits.
+F_max = C(F1, F2) and F_min = 1 - C^(S1, S2), in mpmath at 60 digits, and
+the sum's CDF and tail integral against the oracle's pair survival.
 """
 
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from copula_risk import cli
+from copula_risk.aggregate import AggregateExpPortfolio, _SumLaw, aggregate_cdf
 from copula_risk.copula import FgmCopula
 from copula_risk.extremes import BivariatePortfolio, extreme_cdf
 from copula_risk.marginals import ExponentialMarginal, ParetoMarginal, level_of
@@ -35,6 +37,8 @@ from copula_risk.tables import (
 MEASURES = ("var", "cte", "mot")
 REL_TOL = 1e-11
 CDF_REL_TOL = 2e-15
+SUM_CDF_ABS_TOL = 4 * 2.0**-52
+SUM_TAIL_REL_TOL = 1e-14
 
 exponents = st.floats(-200.0, 200.0)
 thetas = st.one_of(st.sampled_from((-1.0, 1.0)), st.floats(-1.0, 1.0))
@@ -190,3 +194,52 @@ def test_pareto_extreme_cdf_where_x_over_x0_overflows(theta, target):
         FgmCopula(theta),
     )
     assert _copula_cdf_rel_error(p, target, 1e200) <= CDF_REL_TOL
+
+
+# rate ratios at 1, 2 and 1/2 (where a pair of the sum is Erlang), within
+# 1e-12 to 1e-4 of them, and log-uniform over 1e-3..1e3
+_singular_ratios = st.sampled_from((1.0, 2.0, 0.5))
+sum_ratios = st.one_of(
+    _singular_ratios,
+    st.tuples(
+        _singular_ratios,
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(-12.0, -4.0).map(lambda e: 10.0**e),
+    ).map(lambda r: r[0] * (1.0 + r[1] * r[2])),
+    st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+)
+
+
+# Erlang pairs at both ends of the rate range
+@example(l1=1e200, ratio=1.0, theta=0.0, t=1e-3)
+@example(l1=1e200, ratio=2.0, theta=1.0, t=50.0)
+@example(l1=1e-200, ratio=0.5, theta=-1.0, t=1e-12)
+# the oracle fixture is a stateless module, safe to share between examples
+@settings(
+    max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    l1=exponents.map(lambda e: 10.0**e),
+    ratio=sum_ratios,
+    theta=st.one_of(st.sampled_from((-1.0, 0.0, 1.0)), st.floats(-1.0, 1.0)),
+    t=st.floats(-12.0, math.log10(50.0)).map(lambda e: 10.0**e),
+)
+def test_exp_sum_is_the_oracle_pair_survival(oracle, l1, ratio, theta, t):
+    # t = x * (the smaller rate) from 1e-12 to 50; the CDF is judged in
+    # absolute terms, the tail integral x*S(x) + int_x^inf S relative to
+    # itself where t >= 1e-3
+    mp = pytest.importorskip("mpmath")
+    l2 = l1 * ratio
+    p = AggregateExpPortfolio(
+        ExponentialMarginal(l1), ExponentialMarginal(l2), FgmCopula(theta)
+    )
+    x = t / min(l1, l2)
+    got_cdf = aggregate_cdf(p, x)
+    got_tail = _SumLaw(p).tail_expectation(x) if t >= 1e-3 else None
+    with mp.workdps(60):
+        cell = oracle.Cell("exp", "sum", l1, l2, 0.0, theta, 0.5)
+        s = cell.survival(mp.mpf(x))
+        assert float(abs(got_cdf - (1 - s))) <= SUM_CDF_ABS_TOL
+        if got_tail is not None:
+            want = x * s + cell.tail_integral(mp.mpf(x))
+            assert float(abs(got_tail - want) / want) <= SUM_TAIL_REL_TOL

@@ -15,6 +15,7 @@ from copula_risk.aggregate import (
     aggregate_var,
 )
 from copula_risk.copula import FgmCopula
+from copula_risk.errors import DomainError
 from copula_risk.extremes import (
     BivariatePortfolio,
     extreme_cte,
@@ -77,6 +78,27 @@ def test_aggregate_report_matches_measures(theta, alpha):
     assert r.var == aggregate_var(p, alpha)
     assert r.cte == aggregate_cte(p, alpha)
     assert r.mot == aggregate_mot(p, alpha)
+
+
+# a tail integral that overflows to NaN (the sum at rates 1e308) or cancels
+# to 0 (the Pareto extremes at exponents 1e20) gives no report, as it gives
+# no single CTE
+@pytest.mark.parametrize(
+    "m, target",
+    [
+        (ExponentialMarginal(1e308), "sum"),
+        (ParetoMarginal(1.0, 1e20), "max"),
+        (ParetoMarginal(1.0, 1e20), "min"),
+    ],
+    ids=["exp-sum", "pareto-max", "pareto-min"],
+)
+def test_cte_below_its_var_is_a_domain_error(m, target):
+    p = BivariatePortfolio(m, m, FgmCopula(0.5))
+    with pytest.raises(DomainError, match="must be at least var"):
+        if target == "sum":
+            aggregate_report(p, 0.9)
+        else:
+            extreme_report(p, target, 0.9)
 
 
 @pytest.mark.parametrize(
