@@ -39,6 +39,7 @@ REL_TOL = 1e-11
 CDF_REL_TOL = 2e-15
 SUM_CDF_ABS_TOL = 4 * 2.0**-52
 SUM_TAIL_REL_TOL = 1e-14
+CTE_REL_TOL = 1e-14
 
 exponents = st.floats(-200.0, 200.0)
 thetas = st.one_of(st.sampled_from((-1.0, 1.0)), st.floats(-1.0, 1.0))
@@ -243,3 +244,49 @@ def test_exp_sum_is_the_oracle_pair_survival(oracle, l1, ratio, theta, t):
         if got_tail is not None:
             want = x * s + cell.tail_integral(mp.mpf(x))
             assert float(abs(got_tail - want) / want) <= SUM_TAIL_REL_TOL
+
+
+moderate = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def cte_cells(draw):
+    """A solved target's (family, target, p1, p2, x0): exponential rates,
+    the second also at the ratios 1, 2 and 1/2 to the first, or Pareto x0
+    with tail exponents in [1.05, 50]."""
+    family = draw(st.sampled_from(("exp", "pareto")))
+    if family == "exp":
+        l1 = draw(moderate)
+        ratio = draw(st.sampled_from((None, 1.0, 2.0, 0.5)))
+        l2 = draw(moderate) if ratio is None else l1 * ratio
+        target = draw(st.sampled_from(("min", "max", "sum")))
+        return family, target, l1, l2, 0.0
+    g1, g2 = (draw(st.floats(1.05, 50.0)) for _ in range(2))
+    return family, draw(targets), g1, g2, draw(moderate)
+
+
+@settings(
+    max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    cell=cte_cells(),
+    theta=st.one_of(st.sampled_from((-1.0, 1.0)), st.floats(-1.0, 1.0)),
+    alpha=st.floats(0.01, 1.0 - 1e-6),
+)
+def test_cte_is_the_oracle(oracle, cell, theta, alpha):
+    # rates and x0 log-uniform over 1e-2..1e2; the oracle's CTE is its VaR
+    # plus the integral of S beyond it over 1 - alpha, to 30 digits
+    family, target, p1, p2, x0 = cell
+    if family == "exp":
+        p = build_portfolio("exp", theta, exp_rates=(p1, p2))
+    else:
+        p = build_portfolio(
+            "pareto", theta, pareto_x0=x0, pareto_gammas=(p1, p2)
+        )
+    got = compute_measure(p, target, "cte", alpha)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(oracle.DPS):
+        ref = oracle.Cell(family, target, p1, p2, x0, theta, alpha)
+        var = ref.quantile(ref.alpha)
+        want = var + ref.tail_integral(var) / (1 - ref.alpha)
+    assert _rel(got, want) <= CTE_REL_TOL
