@@ -3,11 +3,12 @@
 The FGM density splits into at most four weighted pairs of independent
 marginals (`fgm_pairs`); the minimum, maximum and sum laws all read them.
 The exponential extremes' CDF is the copula formula, F_max = C(F1, F2)
-and S_min = C^(S1, S2), factored into nonnegative terms; density and tail
-expectation sum the signed survival terms w_i * exp(-r_i x) of
-`extreme_terms`. As X = x0 exp(E) with E ~ Exp(g) for X ~ Pareto(x0, g),
-the Pareto extremes are that law read at log(x/x0), bar their tail
-expectation. The sum's four hypoexponential pairs are in `aggregate`.
+and S_min = C^(S1, S2), factored into nonnegative terms; density and mean
+excess sum the signed survival terms w_i * exp(-r_i x) of `extreme_terms`,
+the mean excess beyond q as int_q^inf S / S(q). As X = x0 exp(E) with
+E ~ Exp(g) for X ~ Pareto(x0, g), the Pareto extremes are that law read at
+log(x/x0), bar their mean excess, whose terms are Pareto ones. The sum's
+four hypoexponential pairs are in `aggregate`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Callable
 
 from .errors import DivergentTail
 from .marginals import Marginal, Method, _tail_quantile
-from .numerics import exp_tail_integral, pareto_tail_integral
 
 Terms = tuple[tuple[float, float], ...]
 
@@ -55,7 +55,7 @@ def extreme_terms(p1: float, p2: float, theta: float, target: str) -> Terms:
 class ExpTermMixture:
     """The min or max (`target`) of FGM-coupled Exp(l1) and Exp(l2). `cdf` is
     the copula formula in factored form, every term nonnegative for theta in
-    [-1, 1]; `pdf` and `tail_expectation` sum the terms of `extreme_terms`."""
+    [-1, 1]; `pdf` and `mean_excess` sum the terms of `extreme_terms`."""
 
     l1: float
     l2: float
@@ -91,9 +91,10 @@ class ExpTermMixture:
         val = sum(w * r * math.exp(-r * x) for w, r in self.terms)
         return max(val, 0.0)
 
-    def tail_expectation(self, q: float) -> float:
-        """int_q^inf x f(x) dx, term by term in closed form."""
-        return sum(w * exp_tail_integral(r, q) for w, r in self.terms)
+    def mean_excess(self, q: float, s: float) -> float:
+        """E[X - q | X > q] at a quantile q of tail mass s: int_q^inf S / s,
+        term by term in closed form."""
+        return sum(w * math.exp(-r * q) / r for w, r in self.terms) / s
 
 
 def _log_ratio(x: float, x0: float) -> float:
@@ -127,18 +128,21 @@ class ParetoTermMixture(ExpTermMixture):
             return 0.0
         return ExpTermMixture.pdf(self, _log_ratio(x, self.x0)) / x
 
-    def tail_expectation(self, q: float) -> float:
-        """int_q^inf x f(x) dx; every exponent must exceed 1 to converge.
+    def mean_excess(self, q: float, s: float) -> float:
+        """E[X - q | X > q] at a quantile q of tail mass s: int_q^inf S / s,
+        term by term as q (x0/q)^g / (g - 1); every exponent must exceed 1.
 
         Raises DivergentTail otherwise: for the minimum of two Pareto losses
-        that is g1 + g2 <= 1, for the maximum min(g1, g2) <= 1.
+        that is g1 + g2 <= 1, for the maximum min(g1, g2) <= 1. Raising the
+        ratio x0/q <= 1 keeps large exponents from overflowing.
         """
         g_min = min(g for _, g in self.terms)
         if g_min <= 1.0:
             raise DivergentTail(
                 f"tail expectation requires every exponent > 1, got {g_min}"
             )
-        return sum(w * pareto_tail_integral(self.x0, g, q) for w, g in self.terms)
+        r = self.x0 / q
+        return sum(w * q * r**g / (g - 1.0) for w, g in self.terms) / s
 
 
 def fgm_pairs(theta: float) -> tuple[tuple[float, int, int], ...]:
@@ -148,8 +152,8 @@ def fgm_pairs(theta: float) -> tuple[tuple[float, int, int], ...]:
     g_ik the density of marginal k at i times its rate or tail exponent:
     fk * 2*Sk is that density at twice the parameter, for both families.
     Entries of weight 0 (at theta = 0 or -1) are left out: a Pareto pair's
-    exponent would decide whether a tail expectation diverges, and 0 times
-    an overflowed pair's NaN is NaN.
+    exponent would decide whether a mean excess diverges, and 0 times an
+    overflowed pair's NaN is NaN.
     """
     pairs = ((1.0 + theta, 1, 1), (-theta, 2, 1), (-theta, 1, 2), (theta, 2, 2))
     return tuple(pair for pair in pairs if pair[0])

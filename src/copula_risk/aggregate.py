@@ -7,16 +7,15 @@ weights (1 + theta, -theta, -theta, theta) on the rate pairs (l1, l2),
 (2*l1, l2), (l1, 2*l2) and (2*l1, 2*l2), the entries (w, i, j) of the
 table `_mixtures.fgm_pairs` at (i*l1, j*l2) that the min and max read too.
 `fgm_pairs` leaves out the pairs of weight 0, so at theta = 0 the sum is
-one pair. The CDF, density and tail integral loop over one table of them.
+one pair. The CDF, density and mean excess loop over one table of them.
 
 Each pair (a, b), with b the smaller rate and e = b - a <= 0, is written
 through the divided difference of the exponential, phi(z) = expm1(z)/z
 with phi(0) = 1 (McCurdy, Ng and Parlett, Math. Comp. 43, 1984):
 
-    S(x)                  = exp(-b*x) * (1 + b*x*phi(e*x))
-    f(x)                  = a * exp(-b*x) * b*x*phi(e*x)
-    int_q^inf x f(x) dx   = exp(-b*q) * (q*(1 + g) + 1/a + 1/b + g/a),
-                            with g = b*q*phi(e*q)
+    S(x)              = exp(-b*x) * (1 + b*x*phi(e*x))
+    f(x)              = a * exp(-b*x) * b*x*phi(e*x)
+    int_q^inf S(x) dx = exp(-b*q) * (1/a + 1/b + g/a), with g = b*q*phi(e*q)
 
 These are smooth through e = 0, where the pair is Erlang(2, b), so equal
 and 2:1 rates take the same path as every other rate pair.
@@ -25,7 +24,7 @@ The sum is measured on the same `BivariatePortfolio` as the min and max.
 `_SumLaw` raises `DomainError` when the marginals are not exponential;
 `AggregateExpPortfolio` is the subclass that makes the same check when it
 is built. `_SumLaw` is the solved law that `tables.law_of` gives for the
-sum, with `lo = 0`, `hi`, a `cdf` and a `tail_expectation`, so the sum's
+sum, with `lo = 0`, `hi`, a `cdf` and a `mean_excess`, so the sum's
 measures take the one path of every target, `extremes.law_measures`.
 """
 
@@ -91,7 +90,7 @@ def _phi(z: float) -> float:
 
 
 class _SumLaw:
-    """Distribution of X1 + X2: `cdf`, `pdf` and `tail_expectation` loop over
+    """Distribution of X1 + X2: `cdf`, `pdf` and `mean_excess` loop over
     `_pairs`, the pairs of `fgm_pairs` as (w, -b, b - a, b, a), whose signs
     are folded in so that the root solver's calls to `cdf` negate nothing."""
 
@@ -134,13 +133,14 @@ class _SumLaw:
         )
         return max(val, 0.0)
 
-    def tail_expectation(self, q: float) -> float:
-        """int_q^inf x f(x) dx, pair by pair in closed form."""
+    def mean_excess(self, q: float, s: float) -> float:
+        """E[X - q | X > q] at a quantile q of tail mass s: int_q^inf S / s,
+        pair by pair in closed form."""
         total = 0.0
         for w, nb, nd, b, a in self._pairs:
             g = b * q * _phi(nd * q)
-            total += w * exp(nb * q) * (q * (1.0 + g) + 1.0 / a + 1.0 / b + g / a)
-        return total
+            total += w * exp(nb * q) * (1.0 / a + 1.0 / b + g / a)
+        return total / s
 
 
 def aggregate_pdf(p: BivariatePortfolio, x: float) -> float:
@@ -172,8 +172,7 @@ def aggregate_mot(p: BivariatePortfolio, alpha: AlphaLike) -> float:
 def aggregate_cte(p: BivariatePortfolio, alpha: AlphaLike) -> float:
     """Conditional tail expectation of the aggregate.
 
-    Signed sum of closed-form tail integrals beyond VaR divided by
-    1 - alpha.
+    VaR plus the mean excess beyond it, a signed sum of closed-form pairs.
     """
     return law_measures(_SumLaw(p), alpha, "cte")
 

@@ -29,6 +29,7 @@ class FgmCopula:
         theta = number("theta", self.theta)
         if not (math.isfinite(theta) and -1.0 <= theta <= 1.0):
             raise DomainError(f"theta must lie in [-1, 1], got {theta}")
+        object.__setattr__(self, "theta", theta)
 
 
 def _unit(name: str, x):

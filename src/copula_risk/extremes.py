@@ -6,19 +6,20 @@ sum of exponential or Pareto survival terms built from the two marginal
 parameters (`_mixtures.extreme_terms`): P(min > x) has the terms
 (w, i*p1 + j*p2) of the pairs (w, i, j) of `_mixtures.fgm_pairs`, and
 P(max > x) = S1(x) + S2(x) - P(min > x). `ExpTermMixture` sums those terms
-for its density and tail expectation, its CDF being the copula formula in
+for its density and mean excess, its CDF being the copula formula in
 nonnegative factored form. `ParetoTermMixture` is that exponential law read
-at log(x/x0), with its own tail expectation of Pareto terms.
+at log(x/x0), with its own mean excess of Pareto terms.
 
-Each target's law (`tables.law_of`) states its `method`. `law_measures`
-reads the quantiles, each at its tail mass, and CTE of a closed-form law
-(`MarginalLaw`); it solves the others, which share `lo`, the left end of
-the support, `cdf` and the closed-form `tail_expectation` int_q^inf x f(x)
-dx (raising `DivergentTail` where it diverges) and `hi(level)`,
-`_mixtures.upper_end` of its marginals:
-`solve_level` bisects the CDF once on [lo, hi(level)]. `law_report` builds
-every `RiskReport` from `law_measures`, and every public measure of a
-marginal, an extreme or the sum is one call into them.
+Every law has `mean_excess(q, s)`, E[X - q | X > q] at a quantile q of
+tail mass s, in closed form (raising `DivergentTail` where it diverges), so
+every CTE is VaR plus the mean excess beyond it. Each target's law
+(`tables.law_of`) states its `method`. `law_measures` reads the quantiles
+of a closed-form law (`MarginalLaw`), each at its tail mass; it solves the
+others, which share `lo`, the left end of the support, `cdf` and
+`hi(level)`, `_mixtures.upper_end` of its marginals: `solve_level` bisects
+the CDF once on [lo, hi(level)]. `law_report` builds every `RiskReport`
+from `law_measures`, and every public measure of a marginal, an extreme or
+the sum is one call into them.
 """
 from __future__ import annotations
 
@@ -147,11 +148,12 @@ def law_measures(law, alpha: AlphaLike, measures):
 
     Each level is found once: VaR at alpha, which CTE reuses, and MoT at
     (1 + alpha) / 2. A law of `Method.CLOSED_FORM` gives its quantiles, read
-    at the tail mass 1 - alpha or, for the MoT, half of it, and its CTE; any
-    other is solved, its CTE the tail integral beyond VaR divided by
-    1 - alpha. Raises DomainError for another measure, for a CTE that is NaN
-    or below its VaR, or, for a solved law, where the MoT level rounds to 1
-    (alpha within 2**-53 of 1).
+    at the tail mass 1 - alpha or, for the MoT, half of it; any other is
+    solved. CTE is VaR plus the law's mean excess beyond it, which the VaR's
+    solver error moves only to second order, as d/dq of q + int_q^inf S / s
+    is 1 - S(q)/s, 0 at the VaR. Raises DomainError for another measure, for
+    a CTE that is NaN or below its VaR, or, for a solved law, where the MoT
+    level rounds to 1 (alpha within 2**-53 of 1).
     """
     many = isinstance(measures, (tuple, list))
     names = tuple(measures) if many else (measures,)
@@ -178,7 +180,7 @@ def law_measures(law, alpha: AlphaLike, measures):
         q = quantiles[level]
         if name == "cte":
             var = q
-            q = law.cte_beyond(q, a) if closed else law.tail_expectation(q) / (1.0 - a)
+            q = var + law.mean_excess(var, 1.0 - a)
             if not q >= var:  # NaN fails the check too
                 raise DomainError(f"cte={q!r} must be at least var={var!r}")
         values.append(q)
@@ -212,7 +214,7 @@ def extreme_mot(p: BivariatePortfolio, s, alpha: AlphaLike) -> float:
 def extreme_cte(p: BivariatePortfolio, s, alpha: AlphaLike) -> float:
     """Conditional tail expectation of the selected extreme.
 
-    A signed sum of closed-form tail integrals divided by 1 - alpha.
+    VaR plus the mean excess beyond it, a signed sum of closed-form terms.
 
     Raises:
         DivergentTail: for Pareto marginals whose tail exponents make the

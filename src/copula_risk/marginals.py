@@ -2,12 +2,14 @@
 
 All single-risk measures (VaR, CTE, MoT) have exact closed forms for the
 two families in scope, held by `MarginalLaw`, so no marginal measure
-solves. The scalar measures (`var`, `cte`, `mot`, `report`) compute in
-`math`, through `extremes.law_measures` like those of every target; the
-array helpers (`cdf`, `pdf`, `quantile`) accept scalars or numpy arrays for
-sampling and import numpy on their first call, not with the module. The
-sampler calls the quantile kernel `_quantile_into` directly, in place;
-`quantile` is its allocating, checking wrapper.
+solves: CTE is VaR plus the mean excess beyond it, 1/rate or
+VaR/(gamma - 1), as for every law. The scalar measures (`var`, `cte`,
+`mot`, `report`) compute in `math`, through `extremes.law_measures` like
+those of every target; the array helpers (`cdf`, `pdf`, `quantile`) accept
+scalars or numpy arrays for sampling and import numpy on their first call,
+not with the module. The sampler calls the quantile kernel
+`_quantile_into` directly, in place; `quantile` is its allocating,
+checking wrapper.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from enum import Enum
 from typing import Union
 
 from .errors import DivergentTail, DomainError, number
-from .numerics import exp_tail_integral, pareto_tail_integral
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,9 @@ class ExponentialMarginal:
         rate = number("rate", self.rate)
         if not (rate > 0 and math.isfinite(rate)):
             raise DomainError(f"rate must be positive and finite, got {rate}")
+        # the checked float, not the Decimal or float32 it came from, is what
+        # every formula reads; so with each parameter below
+        object.__setattr__(self, "rate", rate)
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,8 @@ class ParetoMarginal:
             raise DomainError(f"x0 must be positive and finite, got {x0}")
         if not (gamma > 0 and math.isfinite(gamma)):
             raise DomainError(f"gamma must be positive and finite, got {gamma}")
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "gamma", gamma)
 
 
 Marginal = Union[ExponentialMarginal, ParetoMarginal]
@@ -58,7 +64,7 @@ class Alpha:
     value: float
 
     def __post_init__(self) -> None:
-        _checked_level(self.value)
+        object.__setattr__(self, "value", _checked_level(self.value))
 
 
 AlphaLike = Union[Alpha, float]
@@ -115,7 +121,8 @@ class RiskReport:
     def __post_init__(self) -> None:
         # MoT sits deeper in the tail than VaR, and the mean of the tail
         # exceeds its left endpoint, for every continuous family in scope;
-        # either may round onto VaR (gamma/(gamma - 1) is 1.0 at 1e16)
+        # either may round onto VaR (the Pareto mean excess VaR/(gamma - 1)
+        # falls below half an ulp of VaR near gamma = 1e16)
         if not self.var <= self.mot:
             raise DomainError(f"var={self.var} must not exceed mot={self.mot}")
         if not self.var <= self.cte:
@@ -212,16 +219,17 @@ class MarginalLaw:
         # log(s) rounds correctly more often than log1p(-a)
         return _tail_quantile(self.m, s)
 
-    def cte_beyond(self, q: float, a: float) -> float:
-        """E[X | X > q] for q the VaR at level a; see `cte`."""
+    def mean_excess(self, q: float, s: float) -> float:
+        """E[X - q | X > q] at a quantile q of tail mass s: 1/rate, or
+        q/(gamma - 1), whatever s is."""
         m = self.m
         if _dispatch(m) == "exp":
-            return 1.0 / m.rate + q
+            return 1.0 / m.rate
         if m.gamma <= 1.0:
             raise DivergentTail(
                 f"Pareto CTE requires gamma > 1, got gamma={m.gamma}"
             )
-        return m.gamma / (m.gamma - 1.0) * q
+        return q / (m.gamma - 1.0)
 
 
 def _measure(m: Marginal, alpha: AlphaLike, measure: str) -> float:
@@ -238,7 +246,8 @@ def var(m: Marginal, alpha: AlphaLike) -> float:
 
 
 def cte(m: Marginal, alpha: AlphaLike) -> float:
-    """Conditional tail expectation E[X | X > VaR], in closed form.
+    """Conditional tail expectation E[X | X > VaR], in closed form: VaR plus
+    the mean excess, 1/rate or VaR/(gamma - 1).
 
     Raises:
         DivergentTail: for a Pareto marginal with gamma <= 1.
@@ -250,13 +259,6 @@ def mot(m: Marginal, alpha: AlphaLike) -> float:
     """Median of the tail beyond VaR: the quantile at level (1 + alpha)/2,
     read at its tail mass (1 - alpha)/2."""
     return _measure(m, alpha, "mot")
-
-
-def tail_expectation(m: Marginal, q: float) -> float:
-    """Unnormalized tail integral int_q^inf x f(x) dx for this marginal."""
-    if _dispatch(m) == "exp":
-        return exp_tail_integral(m.rate, q)
-    return pareto_tail_integral(m.x0, m.gamma, q)
 
 
 def report(m: Marginal, alpha: AlphaLike) -> RiskReport:

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: bracketed root finding, closed-form tail
-integrals and an adaptive tail quadrature.
+"""Shared numerical kernels: bracketed root finding and an adaptive tail
+quadrature.
 
 Every distribution function in this package is monotone, cheap and smooth,
 so the root solver favours robustness over iteration count: plain bisection
@@ -7,7 +7,7 @@ to the fixed x-axis tolerance _ABS_TOL converges in at most
 ceil(log2((hi - lo) / _ABS_TOL)) steps and is fully deterministic.
 
 No measure is computed by quadrature: `quad_tail` is kept only as the
-tests' oracle for the closed-form tail integrals and for the benchmark
+tests' oracle for the laws' closed-form mean excess and for the benchmark
 harness, which still rebinds it.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .errors import BracketInvalid, DomainError, NoBracket, NoConvergence
+from .errors import BracketInvalid, NoBracket, NoConvergence
 
 # deep enough for the endpoint cusp a polynomial tail with exponent >= 2.5
 # leaves after the tail substitution; heavier tails (exponent near 1) can
@@ -24,7 +24,7 @@ from .errors import BracketInvalid, DomainError, NoBracket, NoConvergence
 _MAX_SIMPSON_DEPTH = 56
 
 # relative tolerance of the adaptive quadrature, which the tests use as an
-# oracle for the closed-form tail integrals
+# oracle for the closed-form tail integrals of the laws
 _QUAD_REL_TOL = 1e-10
 
 
@@ -98,35 +98,6 @@ def expand_bracket(
         f"f never reached {target} within {_MAX_ITER} expansions "
         f"(last tried hi={hi})"
     )
-
-
-def exp_tail_integral(rate: float, q: float) -> float:
-    """Closed form of the exponential tail expectation integral.
-
-    Returns int_q^inf x * rate * exp(-rate*x) dx = (q + 1/rate) * exp(-rate*q).
-    """
-    if rate <= 0 or not math.isfinite(rate):
-        raise DomainError(f"rate must be positive and finite, got {rate}")
-    if q < 0:
-        raise DomainError(f"q must be nonnegative, got {q}")
-    return (q + 1.0 / rate) * math.exp(-rate * q)
-
-
-def pareto_tail_integral(x0: float, gamma: float, q: float) -> float:
-    """Closed form of the Pareto tail expectation integral.
-
-    Returns int_q^inf x * gamma * x0^gamma * x^(-gamma-1) dx
-          = gamma / (gamma - 1) * q * (x0/q)^gamma,
-    which requires gamma > 1 to converge. Raising the ratio x0/q <= 1 keeps
-    large exponents from overflowing where x0^gamma * q^(1-gamma) would.
-    """
-    if x0 <= 0:
-        raise DomainError(f"x0 must be positive, got {x0}")
-    if gamma <= 1:
-        raise DomainError(f"tail integral diverges for gamma <= 1, got {gamma}")
-    if q < x0:
-        raise DomainError(f"q must be >= x0={x0}, got {q}")
-    return gamma / (gamma - 1.0) * q * (x0 / q) ** gamma
 
 
 def quad_tail(f: Callable[[float], float], lo: float) -> float:

@@ -12,8 +12,8 @@ step 1/4 over [-1, 1].
   the max's nonincreasing.
 - The same order makes X1 + X2 grow in convex order, so the sum's CTE is
   nondecreasing in theta (its VaR is not monotone, and is not checked).
-- {min, max} = {X1, X2}, so beyond any q the tail integrals of the min and
-  the max add up to those of the two marginals.
+- {min, max} = {X1, X2}, so beyond any q the integrals of the survival
+  functions of the min and the max add up to those of the two marginals.
 - At theta = 0 the min of two exponentials is Exp(l1 + l2) and the min of
   two Paretos Pareto(x0, g1 + g2), with closed-form measures.
 
@@ -127,15 +127,25 @@ def test_sum_cte_is_nondecreasing_in_theta(data, alpha):
         assert at_most(before, after), (theta, before, after)
 
 
+def survival(m, x):
+    if isinstance(m, ExponentialMarginal):
+        return math.exp(-m.rate * x)
+    return (m.x0 / x) ** m.gamma
+
+
 @pytest.mark.parametrize("family", ["exp", "pareto"])
 @given(data=st.data(), alpha=alphas, theta=st.sampled_from(THETAS))
 def test_min_and_max_tails_add_up(family, data, alpha, theta):
     p = build_portfolio(family, theta, **data.draw(PARAMS[family]))
     q = marginals.var(p.m1, alpha)
-    got = (law_of(p, "min").tail_expectation(q)
-           + law_of(p, "max").tail_expectation(q))
-    want = (marginals.tail_expectation(p.m1, q)
-            + marginals.tail_expectation(p.m2, q))
+    # int_q^inf S of a law is s times its mean excess at tail mass s = S(q);
+    # a mixture's mean excess is that integral over s, so s = 1 reads it
+    got = (law_of(p, "min").mean_excess(q, 1.0)
+           + law_of(p, "max").mean_excess(q, 1.0))
+    want = 0.0
+    for target, m in (("x1", p.m1), ("x2", p.m2)):
+        s = survival(m, q)
+        want += s * law_of(p, target).mean_excess(q, s)
     assert close(got, want), (q, got, want)
 
 
@@ -157,15 +167,10 @@ def test_independent_min_quantiles_are_closed_form(family, data, alpha):
     assert close(mot, marginals.mot(m, alpha)), (mot, m)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the solved min's CTE misses the closed form "
-    "by 3e-11 to 7e-11 relative",
-)
+# the solved min's CTE is VaR plus the mean excess, which the VaR's solver
+# error moves only to second order
 @pytest.mark.parametrize("family, params, alpha", [
-    # 0.12033144703330918 against 0.12033144702907675
     ("pareto", {"pareto_x0": 0.1, "pareto_gammas": (8.0, 10.0)}, 0.9),
-    # 0.019978661369075053 against 0.01997866136776995
     ("exp", {"exp_rates": (100.0, 100.0)}, 0.95),
 ])
 def test_independent_min_cte_is_closed_form(family, params, alpha):

@@ -368,7 +368,7 @@ class TestExtremeCte:
         # min's g1 + g2 = 0.9, must exceed 1
         law = ParetoTermMixture(0.4, 0.5, 0.5, "min", hi=None, x0=1.0)
         with pytest.raises(DivergentTail):
-            law.tail_expectation(2.0)
+            law.mean_excess(2.0, 0.1)
         # VaR stays finite even when the tail expectation does not exist
         assert extreme_var(thin, "min", 0.9) > 1.0
 

@@ -149,7 +149,12 @@ ITEMS_8_AND_2 = pytest.mark.xfail(
 
 @ITEMS_8_AND_2
 @given(rates_k=scaled(2), theta=thetas, alpha=alphas)
-@example(rates_k=((0.5, 0.6), -300), theta=-1.0, alpha=1.0 - 1e-6)  # CTE
+# values near 1e91, whose CTE holds only if the VaR's solver error reaches
+# it to second order
+@example(rates_k=((0.5, 0.6), -300), theta=-1.0, alpha=1.0 - 1e-6)
+# the max's CTE at VaRs near 3e-13, whose brackets are narrower than the
+# solver tolerance and so are returned as their midpoints
+@example(rates_k=((1.0, 1.0), 43), theta=-1.0, alpha=0.99)
 def test_exponential_measures_scale_with_the_rates(rates_k, theta, alpha):
     (l1, l2), k = rates_k
     p = build_portfolio("exp", theta, exp_rates=(l1, l2))
@@ -167,7 +172,11 @@ def test_exponential_measures_scale_with_the_rates(rates_k, theta, alpha):
 
 @ITEMS_8_AND_2
 @given(x0_k=scaled(1), g1=gammas, g2=gammas, theta=thetas, alpha=alphas)
-@example(x0_k=((1.0,), 300), g1=3.0, g2=4.0, theta=0.0, alpha=0.9)  # min CTE
+# values near 1e90, the same for the min's CTE
+@example(x0_k=((1.0,), 300), g1=3.0, g2=4.0, theta=0.0, alpha=0.9)
+# the min's CTE at x0 = 2**-41, whose VaR bracket is narrower than the
+# solver tolerance and so is returned as its midpoint
+@example(x0_k=((1.0,), -41), g1=8.0, g2=1.0625, theta=0.0, alpha=0.9999)
 def test_pareto_measures_scale_with_x0(x0_k, g1, g2, theta, alpha):
     (x0,), k = x0_k
     p = build_portfolio("pareto", theta, pareto_x0=x0, pareto_gammas=(g1, g2))

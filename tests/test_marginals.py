@@ -19,7 +19,6 @@ from copula_risk.marginals import (
     pdf,
     quantile,
     report,
-    tail_expectation,
     var,
 )
 from copula_risk.numerics import quad_tail
@@ -203,10 +202,16 @@ class TestCte:
         )
 
     def test_matches_tail_integral(self):
+        # CTE is VaR plus the integral of the survival beyond it over 1 - alpha
+        def survival(m):
+            if isinstance(m, ExponentialMarginal):
+                return lambda x: math.exp(-m.rate * x)
+            return lambda x: (m.x0 / x) ** m.gamma
+
         for m, alpha in ((EXP1, 0.9), (EXP2, 0.95), (PAR1, 0.9), (PAR2, 0.99)):
             q = var(m, alpha)
             assert cte(m, alpha) == pytest.approx(
-                tail_expectation(m, q) / (1 - alpha), rel=1e-12
+                q + quad_tail(survival(m), q) / (1 - alpha), rel=1e-12
             )
 
     def test_divergent_tail(self):

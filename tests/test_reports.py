@@ -4,9 +4,13 @@ Every composite report takes one root solve for VaR and one for MoT, and
 its fields are exactly the values the single-measure functions return.
 """
 
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
-from copula_risk import cli, extremes
+from copula_risk import cli, extremes, report
 from copula_risk.aggregate import (
     AggregateExpPortfolio,
     aggregate_cte,
@@ -23,7 +27,7 @@ from copula_risk.extremes import (
     extreme_report,
     extreme_var,
 )
-from copula_risk.marginals import ExponentialMarginal, ParetoMarginal
+from copula_risk.marginals import Alpha, ExponentialMarginal, ParetoMarginal
 
 E1, E2 = ExponentialMarginal(0.5), ExponentialMarginal(0.6)
 P1, P2 = ParetoMarginal(1.0, 3.0), ParetoMarginal(1.0, 4.0)
@@ -80,25 +84,23 @@ def test_aggregate_report_matches_measures(theta, alpha):
     assert r.mot == aggregate_mot(p, alpha)
 
 
-# a tail integral that overflows to NaN (the sum at rates 1e308) or cancels
-# to 0 (the Pareto extremes at exponents 1e20) gives no report, as it gives
-# no single CTE
-@pytest.mark.parametrize(
-    "m, target",
-    [
-        (ExponentialMarginal(1e308), "sum"),
-        (ParetoMarginal(1.0, 1e20), "max"),
-        (ParetoMarginal(1.0, 1e20), "min"),
-    ],
-    ids=["exp-sum", "pareto-max", "pareto-min"],
-)
-def test_cte_below_its_var_is_a_domain_error(m, target):
+# a mean excess that overflows to NaN (the sum at rates 1e308) gives no
+# report, as it gives no single CTE
+@pytest.mark.parametrize("m", [ExponentialMarginal(1e308)], ids=["exp-sum"])
+def test_cte_below_its_var_is_a_domain_error(m):
     p = BivariatePortfolio(m, m, FgmCopula(0.5))
     with pytest.raises(DomainError, match="must be at least var"):
-        if target == "sum":
-            aggregate_report(p, 0.9)
-        else:
-            extreme_report(p, target, 0.9)
+        aggregate_report(p, 0.9)
+
+
+# at exponents 1e20 the law is all but a point mass at x0 = 1 (the oracle's
+# VaR and CTE are 1.0): the mean excess beyond the solved VaR underflows to
+# 0, so CTE is that VaR, within the solver tolerance of the oracle
+@pytest.mark.parametrize("target", ["max", "min"], ids=["pareto-max", "pareto-min"])
+def test_cte_may_round_onto_its_var(target):
+    m = ParetoMarginal(1.0, 1e20)
+    r = extreme_report(BivariatePortfolio(m, m, FgmCopula(0.5)), target, 0.9)
+    assert r.cte == r.var == 1.000000000000007
 
 
 @pytest.mark.parametrize(
@@ -119,3 +121,33 @@ def test_cli_solves_each_level_once(solved_levels, capsys, argv, solves):
     assert cli.main(argv) in (0, 1)
     capsys.readouterr()
     assert len(solved_levels) == solves
+
+
+# each constructor stores the float its check converted the parameter to,
+# so a Decimal, a Fraction or a float32 measures as that float does
+@pytest.mark.parametrize("kind", [Decimal, Fraction, np.float32])
+def test_parameters_measure_as_the_floats_they_convert_to(kind):
+    def both(make, *values):
+        """make of the values as kind, and of the floats they convert to."""
+        converted = [kind(str(v)) for v in values]
+        return make(*converted), make(*map(float, converted))
+
+    alpha, alpha_f = both(Alpha, 0.9)
+    cop, cop_f = both(FgmCopula, 0.5)
+    families = [
+        (both(ExponentialMarginal, 0.5), both(ExponentialMarginal, 0.6)),
+        (both(ParetoMarginal, 1.0, 3.0), both(ParetoMarginal, 1.0, 4.0)),
+    ]
+    for (m1, m1_f), (m2, m2_f) in families:
+        p = BivariatePortfolio(m1, m2, cop)
+        p_f = BivariatePortfolio(m1_f, m2_f, cop_f)
+        got = [report(m1, alpha), report(m2, alpha)]
+        want = [report(m1_f, alpha_f), report(m2_f, alpha_f)]
+        for which in ("min", "max"):
+            got.append(extreme_report(p, which, alpha))
+            want.append(extreme_report(p_f, which, alpha_f))
+        if isinstance(m1, ExponentialMarginal):
+            got.append(aggregate_report(p, alpha))
+            want.append(aggregate_report(p_f, alpha_f))
+        assert got == want
+        assert all(type(r.cte) is float for r in got)
