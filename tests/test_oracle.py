@@ -286,8 +286,7 @@ def test_cte_is_the_oracle(oracle, cell, theta, alpha):
             "pareto", theta, pareto_x0=x0, pareto_gammas=(p1, p2)
         )
     got = compute_measure(p, target, "cte", alpha)
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(oracle.DPS):
+    with oracle.mpmath.workdps(oracle.DPS):
         ref = oracle.Cell(family, target, p1, p2, x0, theta, alpha)
         var = ref.quantile(ref.alpha)
         want = var + ref.tail_integral(var) / (1 - ref.alpha)
