@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .errors import DivergentTail
+from .errors import DivergentTail, DomainError
 from .marginals import Marginal, Method, _tail_quantile
 
 Terms = tuple[tuple[float, float], ...]
@@ -93,7 +93,14 @@ class ExpTermMixture:
 
     def mean_excess(self, q: float, s: float) -> float:
         """E[X - q | X > q] at a quantile q of tail mass s: int_q^inf S / s,
-        term by term in closed form."""
+        term by term in closed form (s only divides, so s = 1 gives the
+        integral). Raises DomainError where a term rate overflows, as its
+        exp(-r q)/r would read 0 where the mean excess is of order 1/r."""
+        if max(r for _, r in self.terms) == math.inf:
+            raise DomainError(
+                f"the {self.target}'s term rates i*l1 + j*l2 must be finite, "
+                f"got l1={self.l1!r}, l2={self.l2!r}"
+            )
         return sum(w * math.exp(-r * q) / r for w, r in self.terms) / s
 
 
@@ -130,7 +137,10 @@ class ParetoTermMixture(ExpTermMixture):
 
     def mean_excess(self, q: float, s: float) -> float:
         """E[X - q | X > q] at a quantile q of tail mass s: int_q^inf S / s,
-        term by term as q (x0/q)^g / (g - 1); every exponent must exceed 1.
+        term by term as q (x0/q)^g / (g - 1), s only dividing as for the
+        exponential; every exponent must exceed 1. A term whose exponent
+        overflows adds 0, where its share is below q/(g - 1) and so below
+        the last digit of the CTE q + mean excess.
 
         Raises DivergentTail otherwise: for the minimum of two Pareto losses
         that is g1 + g2 <= 1, for the maximum min(g1, g2) <= 1. Raising the

@@ -135,7 +135,8 @@ class _SumLaw:
 
     def mean_excess(self, q: float, s: float) -> float:
         """E[X - q | X > q] at a quantile q of tail mass s: int_q^inf S / s,
-        pair by pair in closed form."""
+        pair by pair in closed form (s only divides, so s = 1 gives the
+        integral)."""
         total = 0.0
         for w, nb, nd, b, a in self._pairs:
             g = b * q * _phi(nd * q)

@@ -93,15 +93,21 @@ class TestMeasure:
             expected, rel=1e-10, abs=0.0
         )
 
-    # the sum's mean excess overflows to NaN at rates 1e308
+    # at rates 1e308 the sum's mean excess overflows to NaN, and the min's
+    # and max's term rates to inf
     @pytest.mark.parametrize(
-        "argv",
-        [["--dist", "exp", "--l1", "1e308", "--l2", "1e308", "--target", "sum"]],
-        ids=["exp-sum"],
+        "target, needle",
+        [
+            ("sum", "must be at least var"),
+            ("min", "term rates i*l1 + j*l2 must be finite"),
+            ("max", "term rates i*l1 + j*l2 must be finite"),
+        ],
+        ids=["exp-sum", "exp-min", "exp-max"],
     )
-    def test_cte_below_its_var_is_a_parameter_error(self, capsys, argv):
+    def test_cte_below_its_var_is_a_parameter_error(self, capsys, target, needle):
         assert_one_error_record(
-            capsys, "must be at least var", "measure", *argv, "--theta", "0.5",
+            capsys, needle, "measure", "--dist", "exp", "--l1", "1e308",
+            "--l2", "1e308", "--target", target, "--theta", "0.5",
             "--measure", "cte",
         )
 

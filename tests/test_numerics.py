@@ -11,7 +11,7 @@ from copula_risk.errors import (
 )
 from copula_risk import numerics
 from copula_risk._mixtures import ParetoTermMixture
-from copula_risk.marginals import ExponentialMarginal, MarginalLaw
+from copula_risk.marginals import ExponentialMarginal, MarginalLaw, ParetoMarginal
 from copula_risk.numerics import (
     expand_bracket,
     quad_tail,
@@ -19,19 +19,12 @@ from copula_risk.numerics import (
 )
 
 
-def exp_tail_integral(rate, q):
-    """int_q^inf x f(x) dx of Exp(rate): S(q) times q plus the law's mean
-    excess beyond q."""
-    s = math.exp(-rate * q)
-    return s * (q + MarginalLaw(ExponentialMarginal(rate)).mean_excess(q, s))
+def exp_law(rate):
+    return MarginalLaw(ExponentialMarginal(rate))
 
 
-def pareto_tail_integral(x0, gamma, q):
-    """The same of Pareto(x0, gamma), from the law of the min of two
-    independent Pareto(x0, gamma/2) losses: one term of exponent gamma."""
-    law = ParetoTermMixture(gamma / 2, gamma / 2, 0.0, "min", hi=None, x0=x0)
-    s = (x0 / q) ** gamma
-    return s * (q + law.mean_excess(q, s))
+def pareto_law(x0, gamma):
+    return MarginalLaw(ParetoMarginal(x0, gamma))
 
 
 def indep_max_cdf(x):
@@ -128,58 +121,74 @@ class TestExpandBracket:
 
 
 class TestExpTailIntegral:
+    """Exp(rate)'s mean excess E[X - q | X > q], 1/rate at every q."""
+
     def test_mean_of_unit_exponential(self):
-        assert exp_tail_integral(1.0, 0.0) == 1.0
+        assert exp_law(1.0).mean_excess(0.0, 1.0) == 1.0
 
     def test_reproduces_published_cte(self):
         q = -math.log(0.1) / 0.5
-        assert exp_tail_integral(0.5, q) / 0.1 == pytest.approx(6.605, abs=5e-3)
+        cte = q + exp_law(0.5).mean_excess(q, 0.1)
+        assert cte == pytest.approx(6.605, abs=5e-3)
 
     def test_against_quadrature_oracle(self):
-        # frozen scipy.integrate.quad of 2x exp(-2x) over [1, inf)
-        assert exp_tail_integral(2.0, 1.0) == pytest.approx(
-            0.20300292485491897, rel=1e-12
+        # frozen scipy.integrate.quad of 2x exp(-2x) over [1, inf), which
+        # over S(1) is E[X | X > 1]
+        s = math.exp(-2.0)
+        assert 1.0 + exp_law(2.0).mean_excess(1.0, s) == pytest.approx(
+            0.20300292485491897 / s, rel=1e-12
         )
 
     def test_exact_mean_identity(self):
         for lam in (0.1, 0.5, 1.0, 3.0, 17.0):
-            assert exp_tail_integral(lam, 0.0) == 1.0 / lam
+            assert exp_law(lam).mean_excess(0.0, 1.0) == 1.0 / lam
 
     def test_decreasing_in_q(self):
-        vals = [exp_tail_integral(0.7, q) for q in (0.0, 0.5, 1.0, 2.0, 5.0)]
+        # the tail integral int_q^inf x f = S(q) * (q + mean excess)
+        vals = [
+            math.exp(-0.7 * q) * (q + exp_law(0.7).mean_excess(q, 1.0))
+            for q in (0.0, 0.5, 1.0, 2.0, 5.0)
+        ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(v > 0 for v in vals)
 
 
 class TestParetoTailIntegral:
+    """Pareto(x0, gamma)'s mean excess, q/(gamma - 1) beyond q, and that of
+    the terms of a Pareto min or max."""
+
     def test_full_support_mean(self):
-        assert pareto_tail_integral(1.0, 3.0, 1.0) == pytest.approx(1.5, rel=1e-15)
+        cte = 1.0 + pareto_law(1.0, 3.0).mean_excess(1.0, 1.0)
+        assert cte == pytest.approx(1.5, rel=1e-15)
 
     def test_reproduces_published_cte(self):
         q = 0.1 ** (-1.0 / 3.0)
-        assert pareto_tail_integral(1.0, 3.0, q) / 0.1 == pytest.approx(
-            3.23, abs=5e-3
-        )
+        cte = q + pareto_law(1.0, 3.0).mean_excess(q, 0.1)
+        assert cte == pytest.approx(3.23, abs=5e-3)
 
     def test_against_quadrature_oracle(self):
-        # frozen scipy.integrate.quad of x * 4 * 2^4 * x^-5 over [3, inf)
-        assert pareto_tail_integral(2.0, 4.0, 3.0) == pytest.approx(
-            0.7901234567901235, rel=1e-12
+        # frozen scipy.integrate.quad of x * 4 * 2^4 * x^-5 over [3, inf),
+        # which over S(3) = (2/3)^4 is E[X | X > 3]
+        s = (2.0 / 3.0) ** 4
+        assert 3.0 + pareto_law(2.0, 4.0).mean_excess(3.0, s) == pytest.approx(
+            0.7901234567901235 / s, rel=1e-12
         )
 
     @pytest.mark.parametrize("gamma", [160.0, 170.0])
     def test_steep_tail_at_small_scale(self, gamma):
-        # x0^gamma and q^(1 - gamma) leave the float range separately here
+        # the min of independent Pareto(x0, g1) and Pareto(x0, g2) is
+        # Pareto(x0, g1 + g2): one term, whose int_q^inf S at s = 1 is
+        # x0^gamma q^(1 - gamma)/(gamma - 1). x0^gamma and q^(1 - gamma)
+        # leave the float range separately here
         mpmath = pytest.importorskip("mpmath")
         x0, q = 0.01, 0.0105
         with mpmath.workdps(30):
             ref = (
-                gamma * mpmath.mpf(x0) ** gamma * mpmath.mpf(q) ** (1 - gamma)
+                mpmath.mpf(x0) ** gamma * mpmath.mpf(q) ** (1 - gamma)
                 / (gamma - 1)
             )
-        assert pareto_tail_integral(x0, gamma, q) == pytest.approx(
-            float(ref), rel=1e-13
-        )
+        law = ParetoTermMixture(gamma - 70.0, 70.0, 0.0, "min", hi=None, x0=x0)
+        assert law.mean_excess(q, 1.0) == pytest.approx(float(ref), rel=1e-13)
 
 
 class TestQuadTail:
@@ -203,9 +212,9 @@ class TestQuadTail:
     @pytest.mark.parametrize("lam", [0.2, 0.5, 1.0, 2.5])
     @pytest.mark.parametrize("q", [0.0, 0.7, 3.0])
     def test_agrees_with_exp_closed_form(self, lam, q):
-        f = lambda x: x * lam * math.exp(-lam * x)
-        assert quad_tail(f, q) == pytest.approx(
-            exp_tail_integral(lam, q), rel=1e-8
+        S = lambda x: math.exp(-lam * x)
+        assert quad_tail(S, q) / S(q) == pytest.approx(
+            exp_law(lam).mean_excess(q, S(q)), rel=1e-8
         )
 
     @pytest.mark.parametrize("gamma", [3.0, 4.0, 6.0])
@@ -216,9 +225,9 @@ class TestQuadTail:
         # NoConvergence instead of resolving to full tolerance
         x0 = 1.3
         q = x0 * q_mult
-        f = lambda x: x * gamma * x0**gamma * x ** (-gamma - 1.0)
-        assert quad_tail(f, q) == pytest.approx(
-            pareto_tail_integral(x0, gamma, q), rel=1e-8
+        S = lambda x: (x0 / x) ** gamma
+        assert quad_tail(S, q) / S(q) == pytest.approx(
+            pareto_law(x0, gamma).mean_excess(q, S(q)), rel=1e-8
         )
 
     def test_divergent_integrand_exhausts_budget(self):

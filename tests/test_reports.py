@@ -84,13 +84,27 @@ def test_aggregate_report_matches_measures(theta, alpha):
     assert r.mot == aggregate_mot(p, alpha)
 
 
-# a mean excess that overflows to NaN (the sum at rates 1e308) gives no
-# report, as it gives no single CTE
-@pytest.mark.parametrize("m", [ExponentialMarginal(1e308)], ids=["exp-sum"])
-def test_cte_below_its_var_is_a_domain_error(m):
+# a mean excess that overflows gives no report, as it gives no single CTE:
+# at rates 1e308 the sum's reads NaN, and every term rate of the min, and
+# so of the max's min terms, is inf, whose exp(-r q)/r would read 0 (the
+# min's CTE would equal its VaR, 1.151e-308, where the oracle's is 1.795e-308)
+@pytest.mark.parametrize(
+    "target, match",
+    [
+        ("sum", "must be at least var"),
+        ("min", "term rates .* must be finite"),
+        ("max", "term rates .* must be finite"),
+    ],
+    ids=["exp-sum", "exp-min", "exp-max"],
+)
+def test_cte_below_its_var_is_a_domain_error(target, match):
+    m = ExponentialMarginal(1e308)
     p = BivariatePortfolio(m, m, FgmCopula(0.5))
-    with pytest.raises(DomainError, match="must be at least var"):
-        aggregate_report(p, 0.9)
+    with pytest.raises(DomainError, match=match):
+        if target == "sum":
+            aggregate_report(p, 0.9)
+        else:
+            extreme_report(p, target, 0.9)
 
 
 # at exponents 1e20 the law is all but a point mass at x0 = 1 (the oracle's
