@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Callable
 
 from .errors import DivergentTail, DomainError
-from .marginals import Marginal, Method, _tail_quantile
+from .marginals import Marginal, Method
 
 Terms = tuple[tuple[float, float], ...]
 
@@ -35,9 +35,9 @@ def upper_end(target: str, m1: Marginal, m2: Marginal, level: float) -> float:
     C(u, u) >= 2u - 1 = level at u = 1 - s. inf if it overflows."""
     s = (1.0 - level) * (1.0 - _MARGIN)
     if target == "min":
-        hi = min(_tail_quantile(m1, s), _tail_quantile(m2, s))
+        hi = min(m1.tail_quantile(s), m2.tail_quantile(s))
     else:
-        q1, q2 = _tail_quantile(m1, 0.5 * s), _tail_quantile(m2, 0.5 * s)
+        q1, q2 = m1.tail_quantile(0.5 * s), m2.tail_quantile(0.5 * s)
         hi = max(q1, q2) if target == "max" else q1 + q2
     return hi * (1.0 + _MARGIN)
 
@@ -76,32 +76,37 @@ class ExpTermMixture:
         s1, s2 = math.exp(-t1), math.exp(-t2)
         f1, f2 = -math.expm1(-t1), -math.expm1(-t2)
         if self.target == "max":
-            # F1*F2*(1 + theta*S1*S2), with 1 - S1*S2 = F1 + S1*F2 for theta < 0
+            # F1*F2*(1 + theta*S1*S2), exactly 1 at x = inf for theta >= 0,
+            # with 1 - S1*S2 = F1 + S1*F2 for theta < 0
             if th >= 0.0:
                 return f1 * f2 * (1.0 + th * s1 * s2)
             return f1 * f2 * ((1.0 + th) - th * (f1 + s1 * f2))
-        # 1 - S1*S2*(1 + theta*F1*F2), with 1 - S2*F1 = F2 + S1*S2 for theta > 0
-        if th <= 0.0:
-            return f1 + s1 * f2 * (1.0 - th * s2 * f1)
-        return f1 + s1 * f2 * ((1.0 - th) + th * (f2 + s1 * s2))
+        # 1 - S1*S2*(1 + theta*F1*F2), every term nonnegative as theta*S2*F1 <= 1
+        return f1 + s1 * f2 * (1.0 - th * s2 * f1)
 
-    def pdf(self, x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        val = sum(w * r * math.exp(-r * x) for w, r in self.terms)
-        return max(val, 0.0)
-
-    def mean_excess(self, q: float, s: float) -> float:
-        """E[X - q | X > q] at a quantile q of tail mass s: int_q^inf S / s,
-        term by term in closed form (s only divides, so s = 1 gives the
-        integral). Raises DomainError where a term rate overflows, as its
-        exp(-r q)/r would read 0 where the mean excess is of order 1/r."""
+    def finite_terms(self) -> Terms:
+        """`terms`, or DomainError where a term rate r overflows: r exp(-r x)
+        would read NaN, and exp(-r q)/r 0 where the mean excess is of order
+        1/r."""
         if max(r for _, r in self.terms) == math.inf:
             raise DomainError(
                 f"the {self.target}'s term rates i*l1 + j*l2 must be finite, "
                 f"got l1={self.l1!r}, l2={self.l2!r}"
             )
-        return sum(w * math.exp(-r * q) / r for w, r in self.terms) / s
+        return self.terms
+
+    def pdf(self, x: float) -> float:
+        if x < 0.0:
+            return 0.0
+        val = sum(w * r * math.exp(-r * x) for w, r in self.finite_terms())
+        return max(val, 0.0)
+
+    def mean_excess(self, q: float, s: float) -> float:
+        """E[X - q | X > q] at a quantile q of tail mass s: int_q^inf S / s,
+        term by term in closed form (s only divides, so s = 1 gives the
+        integral)."""
+        terms = self.finite_terms()
+        return sum(w * math.exp(-r * q) / r for w, r in terms) / s
 
 
 def _log_ratio(x: float, x0: float) -> float:

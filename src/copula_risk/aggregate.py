@@ -101,15 +101,17 @@ class _SumLaw:
     def __init__(self, p: BivariatePortfolio) -> None:
         _check_exponential(p)
         self.hi = partial(upper_end, "sum", p.m1, p.m2)
-        l1, l2 = p.m1.rate, p.m2.rate
-        if l1 > l2:
-            # the pairs and weights are symmetric under swapping the rates;
-            # ordering them keeps every bit when x1 and x2 swap
-            l1, l2 = l2, l1
-        pairs = (  # (w, a, b) with b = min(a, b) the slower rate
+        l1, l2 = sorted((p.m1.rate, p.m2.rate))  # as the min's and max's
+        pairs = tuple(  # (w, a, b) with b = min(a, b) the slower rate
             (w, max(i * l1, j * l2), min(i * l1, j * l2))
             for w, i, j in fgm_pairs(p.copula.theta)
         )
+        # an overflowed rate's b - a = inf - inf would clip to a CDF of 1
+        if max(a for _, a, _ in pairs) == inf:
+            raise DomainError(
+                "the sum's term rates i*l1 and j*l2 must be finite, "
+                f"got l1={l1!r}, l2={l2!r}"
+            )
         self._pairs = tuple((w, -b, b - a, b, a) for w, a, b in pairs)
 
     def cdf(self, x: float) -> float:

@@ -184,9 +184,10 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, stream_base=0):
     the min goes into one n-float buffer reused by every batch, the max
     over column 0 and, when the sum is a target, min + max (bitwise
     x1 + x2, as IEEE addition commutes) over column 1. `_verify_cells`
-    owns the batch it drew, so it re-enables writes on `batch.pairs`, an
-    array that owns its data. (2) Each target's sample is partitioned at
-    `_first_read` and its tail sorted in place on `mc_oracle._drain`.
+    owns the batch it drew, so it re-enables writes on `batch.pairs`,
+    which `sample_pairs` allocated and marked read-only. (2) Each target's
+    sample is partitioned at `_first_read` and its tail sorted in place on
+    `mc_oracle._drain`.
     (3) The caller solves the analytic values, runs the estimators and
     builds the records, per target, alpha and measure. The pool threads
     of `_drain` run only numpy kernels, so every traced name is called

@@ -14,7 +14,7 @@ Every law has `mean_excess(q, s)`, E[X - q | X > q] at a quantile q of
 tail mass s, in closed form (raising `DivergentTail` where it diverges), so
 every CTE is VaR plus the mean excess beyond it. Each target's law
 (`tables.law_of`) states its `method`. `law_measures` reads the quantiles
-of a closed-form law (`MarginalLaw`), each at its tail mass; it solves the
+of a closed-form law (a marginal), each at its tail mass; it solves the
 others, which share `lo`, the left end of the support, `cdf` and
 `hi(level)`, `_mixtures.upper_end` of its marginals: `solve_level` bisects
 the CDF once on [lo, hi(level)]. `law_report` builds every `RiskReport`
@@ -91,11 +91,12 @@ def _mixture(p: BivariatePortfolio, s):
         raise DomainError(f"selector must be 'min' or 'max', got {s!r}")
     target = "min" if s == "min" else "max"
     hi = partial(upper_end, target, p.m1, p.m2)
+    # ordered: the FGM copula is exchangeable, so a swap keeps every bit
     if isinstance(p.m1, ExponentialMarginal):
-        return ExpTermMixture(p.m1.rate, p.m2.rate, p.copula.theta, target, hi)
-    return ParetoTermMixture(
-        p.m1.gamma, p.m2.gamma, p.copula.theta, target, hi, p.m1.x0
-    )
+        l1, l2 = sorted((p.m1.rate, p.m2.rate))
+        return ExpTermMixture(l1, l2, p.copula.theta, target, hi)
+    g1, g2 = sorted((p.m1.gamma, p.m2.gamma))
+    return ParetoTermMixture(g1, g2, p.copula.theta, target, hi, p.m1.x0)
 
 
 def extreme_cdf(p: BivariatePortfolio, s, x: float) -> float:

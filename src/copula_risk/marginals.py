@@ -1,9 +1,9 @@
 """Exponential and Pareto loss marginals with closed-form risk measures.
 
-All single-risk measures (VaR, CTE, MoT) have exact closed forms for the
-two families in scope, held by `MarginalLaw`, so no marginal measure
-solves: CTE is VaR plus the mean excess beyond it, 1/rate or
-VaR/(gamma - 1), as for every law. The scalar measures (`var`, `cte`,
+Each marginal is the closed-form law of its own target (x1 or x2), with the
+`method`, `quantile(a, s)` and `mean_excess(q, s)` of every law, so no
+marginal measure solves: CTE is VaR plus the mean excess beyond it, 1/rate
+or VaR/(gamma - 1), as for every law. The scalar measures (`var`, `cte`,
 `mot`, `report`) compute in `math`, through `extremes.law_measures` like
 those of every target; the array helpers (`cdf`, `pdf`, `quantile`) accept
 scalars or numpy arrays for sampling and import numpy on their first call,
@@ -22,6 +22,13 @@ from typing import Union
 from .errors import DivergentTail, DomainError, number
 
 
+class Method(str, Enum):
+    """How a reported measure was computed."""
+
+    CLOSED_FORM = "closed_form"
+    ROOT_SOLVE = "root_solve"
+
+
 @dataclass(frozen=True)
 class ExponentialMarginal:
     """Exponential loss severity with the given hazard rate."""
@@ -35,6 +42,22 @@ class ExponentialMarginal:
         # the checked float, not the Decimal or float32 it came from, is what
         # every formula reads; so with each parameter below
         object.__setattr__(self, "rate", rate)
+
+    method = Method.CLOSED_FORM
+
+    def tail_quantile(self, s: float) -> float:
+        """The quantile at tail mass s in (0, 1], formed in s."""
+        return -math.log(s) / self.rate
+
+    def quantile(self, a: float, s: float) -> float:
+        """The quantile at a level a in (0, 1) of tail mass s. For a >= 1/2
+        it is read at s, which is exact where a may round (the MoT level),
+        and log(s) rounds correctly more often than log1p(-a)."""
+        return self.tail_quantile(s) if a >= 0.5 else -math.log1p(-a) / self.rate
+
+    def mean_excess(self, q: float, s: float) -> float:
+        """E[X - q | X > q] beyond a quantile q of tail mass s: 1/rate."""
+        return 1.0 / self.rate
 
 
 @dataclass(frozen=True)
@@ -52,6 +75,28 @@ class ParetoMarginal:
             raise DomainError(f"gamma must be positive and finite, got {gamma}")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "gamma", gamma)
+
+    method = Method.CLOSED_FORM
+
+    def tail_quantile(self, s: float) -> float:
+        """The quantile at tail mass s in (0, 1]; inf if it overflows."""
+        try:
+            return self.x0 * s ** (-1.0 / self.gamma)
+        except OverflowError:  # float ** raises where numpy's power gives inf
+            return math.inf
+
+    def quantile(self, a: float, s: float) -> float:
+        """The quantile at a level a in (0, 1), read at its tail mass s."""
+        return self.tail_quantile(s)
+
+    def mean_excess(self, q: float, s: float) -> float:
+        """E[X - q | X > q] beyond a quantile q of tail mass s: q/(gamma - 1);
+        DivergentTail for gamma <= 1."""
+        if self.gamma <= 1.0:
+            raise DivergentTail(
+                f"Pareto CTE requires gamma > 1, got gamma={self.gamma}"
+            )
+        return q / (self.gamma - 1.0)
 
 
 Marginal = Union[ExponentialMarginal, ParetoMarginal]
@@ -85,26 +130,9 @@ def _checked_level(alpha) -> float:
     return a
 
 
-def _tail_quantile(m: Marginal, s: float) -> float:
-    """m's quantile at tail mass s in (0, 1], formed in s; inf if it overflows."""
-    if _dispatch(m) == "exp":
-        return -math.log(s) / m.rate
-    try:
-        return m.x0 * s ** (-1.0 / m.gamma)
-    except OverflowError:  # float ** raises where numpy's power gives inf
-        return math.inf
-
-
 def _mot_level(a: float) -> float:
     """The level (1 + a)/2 whose quantile is the MoT at a level a."""
     return 0.5 * (1.0 + a)
-
-
-class Method(str, Enum):
-    """How a reported measure was computed."""
-
-    CLOSED_FORM = "closed_form"
-    ROOT_SOLVE = "root_solve"
 
 
 @dataclass(frozen=True)
@@ -203,41 +231,13 @@ def _quantile_into(m: Marginal, p, out):
     return out
 
 
-@dataclass(frozen=True)
-class MarginalLaw:
-    """A marginal as the law of its own target, in closed form."""
-
-    m: Marginal
-    method = Method.CLOSED_FORM
-
-    def quantile(self, a: float, s: float) -> float:
-        """The quantile at one level a in (0, 1) of tail mass s, in math:
-        `quantile`'s formulas."""
-        if _dispatch(self.m) == "exp" and a < 0.5:
-            return -math.log1p(-a) / self.m.rate
-        # for a >= 1/2, s is exact where a may round (the MoT level), and
-        # log(s) rounds correctly more often than log1p(-a)
-        return _tail_quantile(self.m, s)
-
-    def mean_excess(self, q: float, s: float) -> float:
-        """E[X - q | X > q] at a quantile q of tail mass s: 1/rate, or
-        q/(gamma - 1), whatever s is."""
-        m = self.m
-        if _dispatch(m) == "exp":
-            return 1.0 / m.rate
-        if m.gamma <= 1.0:
-            raise DivergentTail(
-                f"Pareto CTE requires gamma > 1, got gamma={m.gamma}"
-            )
-        return q / (m.gamma - 1.0)
-
-
 def _measure(m: Marginal, alpha: AlphaLike, measure: str) -> float:
     # the one path of every measure solves the composite laws too, so it
-    # sits in `extremes`, which imports this module
+    # sits in `extremes`, which imports this module; a marginal is its law
     from .extremes import law_measures
 
-    return law_measures(MarginalLaw(m), alpha, measure)
+    _dispatch(m)  # DomainError for anything else
+    return law_measures(m, alpha, measure)
 
 
 def var(m: Marginal, alpha: AlphaLike) -> float:
@@ -265,4 +265,5 @@ def report(m: Marginal, alpha: AlphaLike) -> RiskReport:
     """All three measures of a single marginal at one confidence level."""
     from .extremes import law_report  # as in _measure
 
-    return law_report(MarginalLaw(m), alpha)
+    _dispatch(m)
+    return law_report(m, alpha)

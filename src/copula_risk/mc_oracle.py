@@ -14,13 +14,13 @@ when, the result equals a serial run. `_drain` holds that queue-and-
 threads scheme, and `verify` selects each batch's order statistics on it
 too. Each block is written in place, at its own rows, into one
 preallocated column-major (n, 2) array, so both columns are contiguous
-and nothing is concatenated. A full block draws u straight into its
+and nothing is concatenated. Each block draws u straight into its
 stretch of the x1 column and w into its stretch of x2; the copula kernel
 then turns w into v in place and the marginal kernels map both columns
-in place. Each thread has a workspace of two block-sized arrays, the
-copula kernel's scratch, into which the last, partial block also draws
-before copying what it keeps. So sampling allocates nothing per block,
-and a batch's workspace is four blocks at most.
+in place; a partial last block draws only the rows it keeps. Each thread
+has a workspace of two block-sized arrays, the copula kernel's scratch.
+So sampling allocates nothing per block, and a batch's workspace is four
+blocks at most.
 
 The estimators read a sample's order statistics from `_first_read` up;
 `_select_tail` puts those in place as a full sort would, for `verify`'s
@@ -179,17 +179,11 @@ def _sample_blocks(jobs, portfolio: BivariatePortfolio, pairs) -> None:
         take = min(_BLOCK, n - start)
         x1 = pairs[start:start + take, 0]
         x2 = pairs[start:start + take, 1]
-        # every block draws a full _BLOCK of u then of w, so its values do
-        # not depend on n; a partial block draws into the scratch and keeps
-        # the head
-        if take == _BLOCK:
-            rng.random(_BLOCK, out=x1)
-            rng.random(_BLOCK, out=x2)
-        else:
-            rng.random(_BLOCK, out=s)
-            rng.random(_BLOCK, out=t)
-            x1[...] = s[:take]
-            x2[...] = t[:take]
+        # u and w are the heads of a full _BLOCK of each, whatever n is:
+        # PCG64 spends one 64-bit output per double
+        rng.random(take, out=x1)
+        rng.bit_generator.advance(_BLOCK - take)
+        rng.random(take, out=x2)
         _conditional_quantile_into(theta, x1, x2, s[:take], t[:take], _V_CAP)
         _quantile_into(portfolio.m1, x1, x1)
         _quantile_into(portfolio.m2, x2, x2)

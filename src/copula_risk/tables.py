@@ -28,7 +28,7 @@ from .aggregate import _SumLaw
 from .copula import FgmCopula
 from .errors import DomainError
 from .extremes import BivariatePortfolio, _mixture, law_measures
-from .marginals import ExponentialMarginal, MarginalLaw, ParetoMarginal
+from .marginals import ExponentialMarginal, ParetoMarginal
 
 DEFAULT_THETA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_EXP_RATES = (0.5, 0.6)
@@ -115,7 +115,7 @@ def build_portfolio(
 def law_of(portfolio: BivariatePortfolio, target: str):
     """The law of x1, x2, min, max or sum on the portfolio."""
     if target in ("x1", "x2"):
-        return MarginalLaw(portfolio.m1 if target == "x1" else portfolio.m2)
+        return portfolio.m1 if target == "x1" else portfolio.m2
     if target in ("min", "max"):
         return _mixture(portfolio, target)
     if target == "sum":

@@ -1,11 +1,13 @@
-"""A short timed run of each benchmark workload exits 0 and reads correct.
+"""A short timed run of each benchmark workload exits 0 and reads correct,
+in both modes: end to end (`--trace 0`) and per layer (`--trace 1`, which
+rebinds the library's layer boundaries to traced wrappers).
 
 perfbench/run.py ends with one JSON line whose "correct" field is true only
 when every check of its `check()` holds: the mpmath oracle's self-checks,
 the same result on every pass and, on `sweep` and `verify`, every value
 within 1e-6 of the oracle's reference. test_bench_contract.py runs each
 operation without the oracle; this runs the whole command, about 5 s per
-workload.
+workload and mode.
 """
 
 import json
@@ -20,10 +22,19 @@ RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 @pytest.mark.parametrize("workload", ["sweep", "edge", "verify"])
 def test_short_run_is_correct(workload):
+    _assert_correct(workload, "0")
+
+
+@pytest.mark.parametrize("workload", ["sweep", "edge", "verify"])
+def test_short_traced_run_is_correct(workload):
+    _assert_correct(workload, "1")
+
+
+def _assert_correct(workload, trace):
     pytest.importorskip("mpmath")
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seed", "1",
-         "--seconds", "0.2"],
+         "--seconds", "0.2", "--trace", trace],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

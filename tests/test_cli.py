@@ -93,12 +93,12 @@ class TestMeasure:
             expected, rel=1e-10, abs=0.0
         )
 
-    # at rates 1e308 the sum's mean excess overflows to NaN, and the min's
-    # and max's term rates to inf
+    # at rates 1e308 the sum's pair rate 2*l1 and the min's and max's term
+    # rates l1 + l2 overflow to inf
     @pytest.mark.parametrize(
         "target, needle",
         [
-            ("sum", "must be at least var"),
+            ("sum", "term rates i*l1 and j*l2 must be finite"),
             ("min", "term rates i*l1 + j*l2 must be finite"),
             ("max", "term rates i*l1 + j*l2 must be finite"),
         ],
@@ -109,6 +109,14 @@ class TestMeasure:
             capsys, needle, "measure", "--dist", "exp", "--l1", "1e308",
             "--l2", "1e308", "--target", target, "--theta", "0.5",
             "--measure", "cte",
+        )
+
+    # the sum's VaR there read 2.996e-308, where the oracle's is 4.034e-308
+    def test_overflowed_sum_var_is_a_parameter_error(self, capsys):
+        assert_one_error_record(
+            capsys, "term rates i*l1 and j*l2 must be finite", "measure",
+            "--dist", "exp", "--l1", "1e308", "--l2", "1e308", "--target",
+            "sum", "--theta", "0.5", "--measure", "var",
         )
 
     # at exponents 1e20 the mean excess beyond the solved VaR underflows to
@@ -328,6 +336,20 @@ class TestVerify:
             r["status"] == "low_tail_count" for r in cte_rows
         )
         assert all(r["empirical"] == "" for r in cte_rows)
+
+    def test_one_pair_has_no_standard_error(self, capsys):
+        # one pair gives an order statistic with no spread around it: its
+        # standard error is 0, so any gap to the analytic value is z = inf,
+        # and no value lies above it for a tail mean
+        rc, out, _ = run_cli(capsys, "verify", "--mc-n", "1", "--theta", "0.5")
+        rows = parse_csv(out)
+        assert rc == 1
+        assert len(rows) == 24
+        for r in rows:
+            if r["measure"] == "cte":
+                assert r["status"] == "low_tail_count"
+            else:
+                assert (r["std_error"], r["z"], r["status"]) == ("0", "inf", "fail")
 
     def test_deterministic_given_seed(self, capsys):
         argv = ["verify", "--mc-n", "50000", "--seed", "7"]

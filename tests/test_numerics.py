@@ -11,20 +11,12 @@ from copula_risk.errors import (
 )
 from copula_risk import numerics
 from copula_risk._mixtures import ParetoTermMixture
-from copula_risk.marginals import ExponentialMarginal, MarginalLaw, ParetoMarginal
+from copula_risk.marginals import ExponentialMarginal, ParetoMarginal
 from copula_risk.numerics import (
     expand_bracket,
     quad_tail,
     solve_increasing,
 )
-
-
-def exp_law(rate):
-    return MarginalLaw(ExponentialMarginal(rate))
-
-
-def pareto_law(x0, gamma):
-    return MarginalLaw(ParetoMarginal(x0, gamma))
 
 
 def indep_max_cdf(x):
@@ -124,29 +116,29 @@ class TestExpTailIntegral:
     """Exp(rate)'s mean excess E[X - q | X > q], 1/rate at every q."""
 
     def test_mean_of_unit_exponential(self):
-        assert exp_law(1.0).mean_excess(0.0, 1.0) == 1.0
+        assert ExponentialMarginal(1.0).mean_excess(0.0, 1.0) == 1.0
 
     def test_reproduces_published_cte(self):
         q = -math.log(0.1) / 0.5
-        cte = q + exp_law(0.5).mean_excess(q, 0.1)
+        cte = q + ExponentialMarginal(0.5).mean_excess(q, 0.1)
         assert cte == pytest.approx(6.605, abs=5e-3)
 
     def test_against_quadrature_oracle(self):
         # frozen scipy.integrate.quad of 2x exp(-2x) over [1, inf), which
         # over S(1) is E[X | X > 1]
         s = math.exp(-2.0)
-        assert 1.0 + exp_law(2.0).mean_excess(1.0, s) == pytest.approx(
+        assert 1.0 + ExponentialMarginal(2.0).mean_excess(1.0, s) == pytest.approx(
             0.20300292485491897 / s, rel=1e-12
         )
 
     def test_exact_mean_identity(self):
         for lam in (0.1, 0.5, 1.0, 3.0, 17.0):
-            assert exp_law(lam).mean_excess(0.0, 1.0) == 1.0 / lam
+            assert ExponentialMarginal(lam).mean_excess(0.0, 1.0) == 1.0 / lam
 
     def test_decreasing_in_q(self):
         # the tail integral int_q^inf x f = S(q) * (q + mean excess)
         vals = [
-            math.exp(-0.7 * q) * (q + exp_law(0.7).mean_excess(q, 1.0))
+            math.exp(-0.7 * q) * (q + ExponentialMarginal(0.7).mean_excess(q, 1.0))
             for q in (0.0, 0.5, 1.0, 2.0, 5.0)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -158,19 +150,19 @@ class TestParetoTailIntegral:
     the terms of a Pareto min or max."""
 
     def test_full_support_mean(self):
-        cte = 1.0 + pareto_law(1.0, 3.0).mean_excess(1.0, 1.0)
+        cte = 1.0 + ParetoMarginal(1.0, 3.0).mean_excess(1.0, 1.0)
         assert cte == pytest.approx(1.5, rel=1e-15)
 
     def test_reproduces_published_cte(self):
         q = 0.1 ** (-1.0 / 3.0)
-        cte = q + pareto_law(1.0, 3.0).mean_excess(q, 0.1)
+        cte = q + ParetoMarginal(1.0, 3.0).mean_excess(q, 0.1)
         assert cte == pytest.approx(3.23, abs=5e-3)
 
     def test_against_quadrature_oracle(self):
         # frozen scipy.integrate.quad of x * 4 * 2^4 * x^-5 over [3, inf),
         # which over S(3) = (2/3)^4 is E[X | X > 3]
         s = (2.0 / 3.0) ** 4
-        assert 3.0 + pareto_law(2.0, 4.0).mean_excess(3.0, s) == pytest.approx(
+        assert 3.0 + ParetoMarginal(2.0, 4.0).mean_excess(3.0, s) == pytest.approx(
             0.7901234567901235 / s, rel=1e-12
         )
 
@@ -214,7 +206,7 @@ class TestQuadTail:
     def test_agrees_with_exp_closed_form(self, lam, q):
         S = lambda x: math.exp(-lam * x)
         assert quad_tail(S, q) / S(q) == pytest.approx(
-            exp_law(lam).mean_excess(q, S(q)), rel=1e-8
+            ExponentialMarginal(lam).mean_excess(q, S(q)), rel=1e-8
         )
 
     @pytest.mark.parametrize("gamma", [3.0, 4.0, 6.0])
@@ -227,7 +219,7 @@ class TestQuadTail:
         q = x0 * q_mult
         S = lambda x: (x0 / x) ** gamma
         assert quad_tail(S, q) / S(q) == pytest.approx(
-            pareto_law(x0, gamma).mean_excess(q, S(q)), rel=1e-8
+            ParetoMarginal(x0, gamma).mean_excess(q, S(q)), rel=1e-8
         )
 
     def test_divergent_integrand_exhausts_budget(self):

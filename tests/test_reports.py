@@ -13,8 +13,10 @@ import pytest
 from copula_risk import cli, extremes, report
 from copula_risk.aggregate import (
     AggregateExpPortfolio,
+    aggregate_cdf,
     aggregate_cte,
     aggregate_mot,
+    aggregate_pdf,
     aggregate_report,
     aggregate_var,
 )
@@ -24,6 +26,7 @@ from copula_risk.extremes import (
     BivariatePortfolio,
     extreme_cte,
     extreme_mot,
+    extreme_pdf,
     extreme_report,
     extreme_var,
 )
@@ -84,27 +87,39 @@ def test_aggregate_report_matches_measures(theta, alpha):
     assert r.mot == aggregate_mot(p, alpha)
 
 
-# a mean excess that overflows gives no report, as it gives no single CTE:
-# at rates 1e308 the sum's reads NaN, and every term rate of the min, and
-# so of the max's min terms, is inf, whose exp(-r q)/r would read 0 (the
-# min's CTE would equal its VaR, 1.151e-308, where the oracle's is 1.795e-308)
-@pytest.mark.parametrize(
-    "target, match",
-    [
-        ("sum", "must be at least var"),
-        ("min", "term rates .* must be finite"),
-        ("max", "term rates .* must be finite"),
-    ],
-    ids=["exp-sum", "exp-min", "exp-max"],
-)
-def test_cte_below_its_var_is_a_domain_error(target, match):
+# a term rate that overflows gives no report, as it gives no single CTE:
+# at rates 1e308 every term rate of the min, and so of the max's min terms,
+# is inf, whose exp(-r q)/r would read 0 (the min's CTE would equal its VaR,
+# 1.151e-308, where the oracle's is 1.795e-308), and the sum's pair
+# (2*l1, 2*l2) holds b - a = inf - inf, whose CTE read NaN
+@pytest.mark.parametrize("target", ["sum", "min", "max"],
+                         ids=["exp-sum", "exp-min", "exp-max"])
+def test_cte_below_its_var_is_a_domain_error(target):
     m = ExponentialMarginal(1e308)
     p = BivariatePortfolio(m, m, FgmCopula(0.5))
-    with pytest.raises(DomainError, match=match):
+    with pytest.raises(DomainError, match="term rates .* must be finite"):
         if target == "sum":
             aggregate_report(p, 0.9)
         else:
             extreme_report(p, target, 0.9)
+
+
+# the same rates give no CDF, density or VaR where the terms enter: the
+# sum's NaN was clipped to a CDF of 1.0 at x = 1e-308 (the oracle's is
+# 0.2938) and solved to a VaR of 2.996e-308 (the oracle's is 4.034e-308),
+# and the sum's, min's and max's densities read NaN
+@pytest.mark.parametrize("call", [
+    lambda p: aggregate_cdf(p, 1e-308),
+    lambda p: aggregate_pdf(p, 1e-308),
+    lambda p: aggregate_var(p, 0.9),
+    lambda p: extreme_pdf(p, "min", 1e-308),
+    lambda p: extreme_pdf(p, "max", 1e-308),
+], ids=["sum-cdf", "sum-pdf", "sum-var", "min-pdf", "max-pdf"])
+def test_overflowed_term_rates_are_a_domain_error(call):
+    m = ExponentialMarginal(1e308)
+    p = BivariatePortfolio(m, m, FgmCopula(0.5))
+    with pytest.raises(DomainError, match="term rates .* must be finite"):
+        call(p)
 
 
 # at exponents 1e20 the law is all but a point mass at x0 = 1 (the oracle's
