@@ -2,22 +2,22 @@
 
 The FGM density splits into at most four weighted pairs of independent
 marginals (`fgm_pairs`); the minimum, maximum and sum laws all read them.
-The exponential extremes' CDF is the copula formula, F_max = C(F1, F2)
-and S_min = C^(S1, S2), factored into nonnegative terms; density and mean
-excess sum the signed survival terms w_i * exp(-r_i x) of `extreme_terms`,
-the mean excess beyond q as int_q^inf S / S(q). As X = x0 exp(E) with
-E ~ Exp(g) for X ~ Pareto(x0, g), the Pareto extremes are that law read at
-log(x/x0), bar their mean excess, whose terms are Pareto ones. The sum's
-four hypoexponential pairs are in `aggregate`.
+The exponential extremes read the copula in nonnegative terms: the CDF is
+F_max = C(F1, F2) or S_min = C(S1, S2), and the density l1 S1 dC/du +
+l2 S2 dC/dv there. Only the mean excess beyond q, int_q^inf S / S(q), sums
+the signed survival terms w_i * exp(-r_i x) of `extreme_terms`. As
+X = x0 exp(E) with E ~ Exp(g) for X ~ Pareto(x0, g), the Pareto extremes
+are that law read at log(x/x0), bar their mean excess, whose terms are
+Pareto ones. The sum's four hypoexponential pairs are in `aggregate`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
+from .copula import _partial
 from .errors import DivergentTail, DomainError
 from .marginals import Marginal, Method
 
@@ -53,9 +53,8 @@ def extreme_terms(p1: float, p2: float, theta: float, target: str) -> Terms:
 
 @dataclass(frozen=True)
 class ExpTermMixture:
-    """The min or max (`target`) of FGM-coupled Exp(l1) and Exp(l2). `cdf` is
-    the copula formula in factored form, every term nonnegative for theta in
-    [-1, 1]; `pdf` and `mean_excess` sum the terms of `extreme_terms`."""
+    """The min or max (`target`) of FGM-coupled Exp(l1) and Exp(l2): `cdf` and
+    `pdf` read the copula in nonnegative terms, `mean_excess` `extreme_terms`."""
 
     l1: float
     l2: float
@@ -64,10 +63,6 @@ class ExpTermMixture:
     hi: Callable[[float], float]  # see `upper_end`
     lo = 0.0
     method = Method.ROOT_SOLVE
-
-    @cached_property
-    def terms(self) -> Terms:
-        return extreme_terms(self.l1, self.l2, self.theta, self.target)
 
     def cdf(self, x: float) -> float:
         if x <= 0.0:
@@ -84,28 +79,27 @@ class ExpTermMixture:
         # 1 - S1*S2*(1 + theta*F1*F2), every term nonnegative as theta*S2*F1 <= 1
         return f1 + s1 * f2 * (1.0 - th * s2 * f1)
 
-    def finite_terms(self) -> Terms:
-        """`terms`, or DomainError where a term rate r overflows: r exp(-r x)
-        would read NaN, and exp(-r q)/r 0 where the mean excess is of order
-        1/r."""
-        if max(r for _, r in self.terms) == math.inf:
+    def pdf(self, x: float) -> float:
+        if x < 0.0:
+            return 0.0
+        t1, t2, th = self.l1 * x, self.l2 * x, self.theta
+        s1, s2 = math.exp(-t1), math.exp(-t2)
+        f1, f2 = -math.expm1(-t1), -math.expm1(-t2)
+        # the max's CDF is C(F1, F2), the min's survival C(S1, S2)
+        u, ub, v, vb = (f1, s1, f2, s2) if self.target == "max" else (s1, f1, s2, f2)
+        d1, d2 = _partial(th, u, ub, v, vb), _partial(th, v, vb, u, ub)
+        return self.l1 * s1 * d1 + self.l2 * s2 * d2
+
+    def mean_excess(self, q: float, s: float) -> float:
+        """E[X - q | X > q] at a quantile q of tail mass s: int_q^inf S / s,
+        term by term (s only divides, so s = 1 gives the integral);
+        DomainError where a term rate r overflows, as exp(-r q)/r reads 0."""
+        terms = extreme_terms(self.l1, self.l2, self.theta, self.target)
+        if max(r for _, r in terms) == math.inf:
             raise DomainError(
                 f"the {self.target}'s term rates i*l1 + j*l2 must be finite, "
                 f"got l1={self.l1!r}, l2={self.l2!r}"
             )
-        return self.terms
-
-    def pdf(self, x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        val = sum(w * r * math.exp(-r * x) for w, r in self.finite_terms())
-        return max(val, 0.0)
-
-    def mean_excess(self, q: float, s: float) -> float:
-        """E[X - q | X > q] at a quantile q of tail mass s: int_q^inf S / s,
-        term by term in closed form (s only divides, so s = 1 gives the
-        integral)."""
-        terms = self.finite_terms()
         return sum(w * math.exp(-r * q) / r for w, r in terms) / s
 
 
@@ -151,13 +145,14 @@ class ParetoTermMixture(ExpTermMixture):
         that is g1 + g2 <= 1, for the maximum min(g1, g2) <= 1. Raising the
         ratio x0/q <= 1 keeps large exponents from overflowing.
         """
-        g_min = min(g for _, g in self.terms)
+        terms = extreme_terms(self.l1, self.l2, self.theta, self.target)
+        g_min = min(g for _, g in terms)
         if g_min <= 1.0:
             raise DivergentTail(
                 f"tail expectation requires every exponent > 1, got {g_min}"
             )
         r = self.x0 / q
-        return sum(w * q * r**g / (g - 1.0) for w, g in self.terms) / s
+        return sum(w * q * r**g / (g - 1.0) for w, g in terms) / s
 
 
 def fgm_pairs(theta: float) -> tuple[tuple[float, int, int], ...]:

@@ -2,7 +2,10 @@
 
 C(u, v) = uv + theta * uv(1-u)(1-v) for theta in [-1, 1]. Outside that
 range the density goes negative, so theta is validated once at
-construction. All functions accept scalars or numpy arrays; numpy is
+construction. C, its u-derivative `_partial` and its density each sum
+nonnegative terms, in one form per sign of theta, and the survival is
+C(1 - u, 1 - v) by radial symmetry, so all keep their digits at the
+corners. All functions accept scalars or numpy arrays; numpy is
 imported on the first call, not with the module. The sampler calls the
 conditional-quantile kernel `_conditional_quantile_into(theta, u, wv, s,
 t, cap)` directly: it reads u, turns the w in wv into v in place and
@@ -47,7 +50,16 @@ def _ret(out):
 
 
 def _cdf_raw(theta: float, us, vs):
-    return us * vs * (1.0 + theta * (1.0 - us) * (1.0 - vs))
+    if theta >= 0.0:
+        return us * vs * (1.0 + theta * (1.0 - us) * (1.0 - vs))
+    return us * vs * ((1.0 + theta) - theta * (us + (1.0 - us) * vs))
+
+
+def _partial(theta: float, u, ub, v, vb):
+    """dC/du = v(1 + theta vb(ub - u)) at (u, v), with ub = 1 - u, vb = 1 - v,
+    is v((1 - |theta|) + |theta|(v + 2 vb ub)), with u for ub if theta < 0."""
+    a = abs(theta)
+    return v * ((1.0 - a) + a * (v + 2.0 * vb * (ub if theta >= 0.0 else u)))
 
 
 def cdf(c: FgmCopula, u, v):
@@ -57,21 +69,24 @@ def cdf(c: FgmCopula, u, v):
 
 
 def density(c: FgmCopula, u, v):
-    """Copula density c(u, v) = 1 + theta(1-2u)(1-2v), nonnegative on the square."""
+    """Copula density c(u, v) = 1 + theta(1-2u)(1-2v) = (1 - |theta|) +
+    2|theta|(uv + ub vb), with u vb + ub v if theta < 0; ub = 1 - u."""
     us, vs = _unit("u", u), _unit("v", v)
-    return _ret(1.0 + c.theta * (1.0 - 2.0 * us) * (1.0 - 2.0 * vs))
+    a, ub, vb = abs(c.theta), 1.0 - us, 1.0 - vs
+    same = us * vs + ub * vb if c.theta >= 0.0 else us * vb + ub * vs
+    return _ret((1.0 - a) + 2.0 * a * same)
 
 
 def survival(c: FgmCopula, u, v):
-    """Joint survival P(U > u, V > v) = 1 - u - v + C(u, v)."""
+    """Joint survival P(U > u, V > v) = C(1 - u, 1 - v), by radial symmetry."""
     us, vs = _unit("u", u), _unit("v", v)
-    return _ret(1.0 - us - vs + _cdf_raw(c.theta, us, vs))
+    return _ret(_cdf_raw(c.theta, 1.0 - us, 1.0 - vs))
 
 
 def conditional_cdf(c: FgmCopula, v, given_u):
     """P(V <= v | U = u), the partial derivative of C in u."""
     vs, us = _unit("v", v), _unit("given_u", given_u)
-    return _ret(vs + c.theta * vs * (1.0 - vs) * (1.0 - 2.0 * us))
+    return _ret(_partial(c.theta, us, 1.0 - us, vs, 1.0 - vs))
 
 
 def conditional_quantile(c: FgmCopula, w, given_u):

@@ -1,14 +1,12 @@
 """Risk measures of the minimum and maximum of two dependent losses, and the
 one path that measures the law of every target.
 
-Under FGM dependence the survival function of either extreme is a signed
-sum of exponential or Pareto survival terms built from the two marginal
-parameters (`_mixtures.extreme_terms`): P(min > x) has the terms
-(w, i*p1 + j*p2) of the pairs (w, i, j) of `_mixtures.fgm_pairs`, and
-P(max > x) = S1(x) + S2(x) - P(min > x). `ExpTermMixture` sums those terms
-for its density and mean excess, its CDF being the copula formula in
-nonnegative factored form. `ParetoTermMixture` is that exponential law read
-at log(x/x0), with its own mean excess of Pareto terms.
+Under FGM dependence either extreme's law is the copula read at the
+marginals, F_max = C(F1, F2) and P(min > x) = C(S1, S2), as the FGM copula
+is radially symmetric. `ExpTermMixture` evaluates its CDF and density with
+every term nonnegative; only its mean excess sums the signed survival terms
+of `_mixtures.extreme_terms`. `ParetoTermMixture` is that exponential law
+read at log(x/x0), with its own mean excess of Pareto terms.
 
 Every law has `mean_excess(q, s)`, E[X - q | X > q] at a quantile q of
 tail mass s, in closed form (raising `DivergentTail` where it diverges), so

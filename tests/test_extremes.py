@@ -211,19 +211,12 @@ class TestExtremePdf:
         assert math.isfinite(dens)
         assert dens == pytest.approx(fd, rel=1e-6)
 
-
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 9: the signed survival terms cancel near x = 0 "
-        "and max(val, 0.0) clips what is left",
-    )
     @pytest.mark.parametrize(
         "rates, x", [((0.5, 0.6), 1e-9), ((0.0909, 0.1335), 7.8e-9)]
     )
     def test_countermonotone_max_density_near_zero(self, rates, x):
-        # d/dx C(F1, F2) at theta = -1 is about 1e-18 here; the density
-        # reads 4.4e-16 at the paper's rates and 0.0 at the others
+        # d/dx C(F1, F2) at theta = -1 is about 1e-18 here, where a signed
+        # sum of survival terms would cancel to 4.4e-16 and 0.0
         mp = pytest.importorskip("mpmath")
         p = BivariatePortfolio(
             ExponentialMarginal(rates[0]), ExponentialMarginal(rates[1]),

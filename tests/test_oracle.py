@@ -8,20 +8,22 @@ table that the min, max and sum laws read, on a fixed grid: the cells of
 the 15 published tables and the analytic values of the `verify` grid.
 
 The extremes' CDFs are also fuzzed against the copula formula itself,
-F_max = C(F1, F2) and F_min = 1 - C^(S1, S2), in mpmath at 60 digits, the
-sum's CDF and tail integral against the oracle's pair survival, and the
-CTE of every solved target against the oracle's at 1e-14 relative.
+F_max = C(F1, F2) and F_min = 1 - C^(S1, S2), in mpmath at 60 digits, and
+their densities against the partials of C there; the copula API at its
+corners, the sum's CDF and tail integral against the oracle's pair
+survival, and the CTE of every solved target against the oracle's at
+1e-14 relative.
 """
 
 import math
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from copula_risk import cli
+from copula_risk import cli, copula
 from copula_risk.aggregate import AggregateExpPortfolio, _SumLaw, aggregate_cdf
 from copula_risk.copula import FgmCopula
-from copula_risk.extremes import BivariatePortfolio, extreme_cdf
+from copula_risk.extremes import BivariatePortfolio, extreme_cdf, extreme_pdf
 from copula_risk.marginals import ExponentialMarginal, ParetoMarginal, level_of
 from copula_risk.tables import (
     DEFAULT_EXP_RATES,
@@ -41,6 +43,7 @@ CDF_REL_TOL = 2e-15
 SUM_CDF_ABS_TOL = 4 * 2.0**-52
 SUM_TAIL_REL_TOL = 1e-14
 CTE_REL_TOL = 1e-14
+EPS = 2.0**-52
 
 exponents = st.floats(-200.0, 200.0)
 thetas = st.one_of(st.sampled_from((-1.0, 1.0)), st.floats(-1.0, 1.0))
@@ -231,6 +234,108 @@ def test_pareto_extreme_cdf_where_x_over_x0_overflows(theta, target):
         FgmCopula(theta),
     )
     assert _copula_cdf_rel_error(p, target, 1e200) <= CDF_REL_TOL
+
+
+def _copula_pdf_rel_error(p, target, x):
+    """Relative error of extreme_pdf at x against the derivative of
+    C(F1, F2) for the max, l1 S1 dC/du + l2 S2 dC/dv at (F1, F2), and of
+    F1 + F2 - C(F1, F2) for the min, from the float x and parameters; for
+    Pareto marginals li is gi/x. The partials cancel down to the size of the
+    smaller Si, at least 1e-305 here, so 400 digits leave over 60. Only a density
+    above 1e-270 is judged: below the normal range a float has fewer
+    digits, and a term that underflows there would show in a density not
+    far above it."""
+    mp = pytest.importorskip("mpmath")
+    got = extreme_pdf(p, target, x)
+    with mp.workdps(400):
+        x, theta = mp.mpf(x), p.copula.theta
+        if isinstance(p.m1, ExponentialMarginal):
+            ls = [mp.mpf(m.rate) for m in (p.m1, p.m2)]
+            s1, s2 = (mp.exp(-rate * x) for rate in ls)
+        else:
+            ls = [mp.mpf(m.gamma) / x for m in (p.m1, p.m2)]
+            s1, s2 = ((mp.mpf(m.x0) / x) ** m.gamma for m in (p.m1, p.m2))
+        u, v = 1 - s1, 1 - s2
+        if target == "max":  # dC/du and dC/dv
+            du = v * (1 + theta * (1 - v) * (1 - 2 * u))
+            dv = u * (1 + theta * (1 - u) * (1 - 2 * v))
+        else:  # 1 - dC/du = (1 - v)(1 - theta v(1 - 2u))
+            du = s2 * (1 - theta * v * (1 - 2 * u))
+            dv = s1 * (1 - theta * u * (1 - 2 * v))
+        want = ls[0] * s1 * du + ls[1] * s2 * dv
+        assume(want > 1e-270)
+        return float(abs(got - want) / want)
+
+
+# a signed sum of survival terms cancels near x = 0 (ROADMAP item 9's cells)
+@example(l1=0.5, ratio=1.2, theta=-1.0, t=5e-10, target="max")
+@settings(max_examples=400)
+@given(
+    l1=exponents.map(lambda e: 10.0**e),
+    ratio=st.one_of(
+        st.sampled_from((1.0, 2.0, 0.5)),
+        st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    ),
+    theta=thetas,
+    t=st.floats(-12.0, math.log10(50.0)).map(lambda e: 10.0**e),
+    target=targets,
+)
+def test_exp_extreme_pdf_is_the_copula_partials(l1, ratio, theta, t, target):
+    # t = x times the smaller rate, from 1e-12 to 50, while li*x <= 700
+    # keeps exp(-li*x) normal; the error bound grows with the li*x that
+    # exp is evaluated at
+    l2 = l1 * ratio
+    x = t / min(l1, l2)
+    assume(max(l1, l2) * x <= 700.0)
+    p = BivariatePortfolio(
+        ExponentialMarginal(l1), ExponentialMarginal(l2), FgmCopula(theta)
+    )
+    bound = 8 * EPS * (1 + l1 * x + l2 * x)
+    assert _copula_pdf_rel_error(p, target, x) <= bound
+
+
+@example(x0=1.0, g1=3.0, g2=4.0, theta=-1.0, rel=1.0 + 1e-9, target="max")
+@settings(max_examples=400)
+@given(
+    x0=st.floats(-100.0, 100.0).map(lambda e: 10.0**e),
+    g1=st.floats(0.01, 50.0),
+    g2=st.floats(0.01, 50.0),
+    theta=thetas,
+    rel=st.floats(1.0 + 1e-12, 10.0),
+    target=targets,
+)
+def test_pareto_extreme_pdf_is_the_copula_partials(x0, g1, g2, theta, rel, target):
+    x = x0 * rel
+    p = BivariatePortfolio(
+        ParetoMarginal(x0, g1), ParetoMarginal(x0, g2), FgmCopula(theta)
+    )
+    bound = 8 * EPS * (2 + (g1 + g2) * math.log(x / x0))
+    assert _copula_pdf_rel_error(p, target, x) <= bound
+
+
+# where 1 - u - v + C(u, v), 1 + theta(1-2u)(1-2v) or u(1-u) cancel, the
+# values are 1.5e-20, 2e-30, 3e-20 and 4e-10; conditional_cdf takes
+# (v, given_u), so its u is v here
+@pytest.mark.parametrize(
+    "func, theta, u, v, want",
+    [
+        (copula.survival, 0.5, 1 - 1e-10, 1 - 1e-10,
+         lambda t, u, v: (1 - u) * (1 - v) * (1 + t * u * v)),
+        (copula.cdf, -1.0, 1e-10, 1e-10,
+         lambda t, u, v: u * v * (1 + t * (1 - u) * (1 - v))),
+        (copula.conditional_cdf, -1.0, 1e-10, 1e-10,
+         lambda t, u, v: u * (1 + t * (1 - u) * (1 - 2 * v))),
+        (copula.density, 1.0, 1e-10, 1 - 1e-10,
+         lambda t, u, v: 1 + t * (1 - 2 * u) * (1 - 2 * v)),
+    ],
+    ids=["survival", "cdf", "conditional-cdf", "density"],
+)
+def test_copula_at_the_corners(func, theta, u, v, want):
+    mp = pytest.importorskip("mpmath")
+    got = func(FgmCopula(theta), u, v)
+    with mp.workdps(50):
+        w = want(theta, mp.mpf(u), mp.mpf(v))
+        assert float(abs(got - w) / w) <= 4 * EPS
 
 
 # rate ratios at 1, 2 and 1/2 (where a pair of the sum is Erlang), within
