@@ -10,12 +10,13 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error.
 Error records are emitted as one JSON object on stderr.
 
-`verify` samples and selects each batch on the calling thread and at most
-one thread started for each of those two stages (`mc_oracle._drain`), and
-derives the min, max and sum and solves the analytic values on the calling
-thread alone. The started threads run only numpy kernels; the samplers,
-estimators and analytic solves are called through this module's names on
-the calling thread, where the benchmark's layer tracing rebinds them.
+`verify` samples each batch, derives its min, max and sum and selects
+their tails on the calling thread and at most one thread started for each
+of those three stages (`mc_oracle._drain`), and solves the analytic values
+on the calling thread alone. The started threads run only numpy kernels;
+the samplers, estimators and analytic solves are called through this
+module's names on the calling thread, where the benchmark's layer tracing
+rebinds them.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import CopulaRiskError, DomainError, LowTailCount
 from .extremes import law_measures, law_tolerance
 from .marginals import _mot_level, level_of
 from .mc_oracle import (
+    _BLOCK,
     _drain,
     _first_read,
     _order_stat_estimate,
@@ -170,6 +172,21 @@ def cmd_figure(args) -> int:
     return 0
 
 
+def _derive_blocks(starts, x1, x2, buf, with_sum: bool) -> None:
+    """For the rows of each block taken, write min(x1, x2) into buf, the
+    max over x1 and, with_sum, buf + x1 over x2: min + max is bitwise
+    x1 + x2, as IEEE addition commutes."""
+    import numpy as np
+
+    for start in starts:
+        rows = slice(start, start + _BLOCK)
+        a, b, m = x1[rows], x2[rows], buf[rows]
+        np.minimum(a, b, out=m)
+        np.maximum(a, b, out=a)
+        if with_sum:
+            np.add(m, a, out=b)
+
+
 def _select_slots(slots, first: int) -> None:
     """`_select_tail` each target sample taken off the shared queue."""
     for xs in slots:
@@ -180,14 +197,15 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, stream_base=0):
     """Records of the Monte Carlo cross-check of min, max and sum targets.
 
     Per theta, the batch from `sample_pairs` goes through three stages.
-    (1) On the calling thread, three whole-array passes derive the targets:
-    the min goes into one n-float buffer reused by every batch, the max
-    over column 0 and, when the sum is a target, min + max (bitwise
-    x1 + x2, as IEEE addition commutes) over column 1. `_verify_cells`
-    owns the batch it drew, so it re-enables writes on `batch.pairs`,
-    which `sample_pairs` allocated and marked read-only. (2) Each target's
-    sample is partitioned at `_first_read` and its tail sorted in place on
-    `mc_oracle._drain`.
+    (1) `_derive_blocks` derives the targets on `mc_oracle._drain`, one
+    `_BLOCK` of rows at a time, so each block's three passes read rows
+    still in cache: the min goes into one n-float buffer reused by every
+    batch, the max over column 0 and, when the sum is a target, min + max
+    (bitwise x1 + x2, as IEEE addition commutes) over column 1.
+    `_verify_cells` owns the batch it drew, so it re-enables writes on
+    `batch.pairs`, which `sample_pairs` allocated and marked read-only.
+    (2) Each target's sample is partitioned at `_first_read` and its tail
+    sorted in place on `_drain`.
     (3) The caller solves the analytic values, runs the estimators and
     builds the records, per target, alpha and measure. The pool threads
     of `_drain` run only numpy kernels, so every traced name is called
@@ -215,16 +233,12 @@ def _verify_cells(family, thetas, alphas, targets, mc_n, seed, stream_base=0):
         portfolio = build_portfolio(family, theta)
         # drop the last theta's pairs, and every view of them, before
         # drawing this theta's
-        batch = x1 = x2 = samples = xs = None
+        batch = samples = xs = None
         batch = sample_pairs(portfolio, mc_n, seed, stream=stream)
         batch.pairs.setflags(write=True)
-        x1, x2 = batch.x1, batch.x2
-        samples = {
-            "min": np.minimum(x1, x2, out=buf),
-            "max": np.maximum(x1, x2, out=x1),
-        }
-        if "sum" in targets:
-            samples["sum"] = np.add(buf, x1, out=x2)
+        _drain(_derive_blocks, deque(range(0, mc_n, _BLOCK)),
+               batch.x1, batch.x2, buf, "sum" in targets)
+        samples = {"min": buf, "max": batch.x1, "sum": batch.x2}
         slots = deque(samples[t] for t in dict.fromkeys(targets))
         _drain(_select_slots, slots, first)
         for target in targets:

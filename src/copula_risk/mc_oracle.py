@@ -11,16 +11,16 @@ among at most two threads, the caller and one started for the batch
 takes the next block from a shared queue, so a thread on a slower CPU
 takes fewer; since no block's bits depend on which thread runs it or
 when, the result equals a serial run. `_drain` holds that queue-and-
-threads scheme, and `verify` selects each batch's order statistics on it
-too. Each block is written in place, at its own rows, into one
-preallocated column-major (n, 2) array, so both columns are contiguous
-and nothing is concatenated. Each block draws u straight into its
-stretch of the x1 column and w into its stretch of x2; the copula kernel
-then turns w into v in place and the marginal kernels map both columns
-in place; a partial last block draws only the rows it keeps. Each thread
-has a workspace of two block-sized arrays, the copula kernel's scratch.
-So sampling allocates nothing per block, and a batch's workspace is four
-blocks at most.
+threads scheme, and `verify` derives each batch's min, max and sum and
+selects their order statistics on it too. Each block is written in
+place, at its own rows, into one preallocated column-major (n, 2) array,
+so both columns are contiguous and nothing is concatenated. Each block
+draws u straight into its stretch of the x1 column and w into its
+stretch of x2; the copula kernel then turns w into v in place and the
+marginal kernels map both columns in place; a partial last block draws
+only the rows it keeps. Each thread has a workspace of two block-sized
+arrays, the copula kernel's scratch. So sampling allocates nothing per
+block, and a batch's workspace is four blocks at most.
 
 The estimators read a sample's order statistics from `_first_read` up;
 `_select_tail` puts those in place as a full sort would, for `verify`'s
@@ -130,8 +130,9 @@ def sample_pairs(
 
 def _drain(work, jobs: deque, *args) -> None:
     """Run work(taken, *args) on the caller and on pool threads until
-    jobs is empty: the blocks of `sample_pairs`, or the target samples
-    whose tails `verify` selects.
+    jobs is empty: the blocks of `sample_pairs`, the row blocks whose
+    min, max and sum `verify` derives, or the target samples whose tails
+    it selects.
 
     Each thread's `taken` yields jobs popped off the shared deque (pops
     are thread-safe), so a thread on a slower CPU takes fewer. There are

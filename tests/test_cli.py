@@ -575,6 +575,29 @@ class TestVerifyWorkers:
                               2 * _BLOCK + 1, 5)
         assert threading.active_count() == baseline
 
+    def test_derive_error_propagates_and_threads_end(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+        )
+        derive = cli._derive_blocks
+
+        def failing(starts, *args):
+            def checked():
+                for start in starts:
+                    # the last block, whichever thread takes it
+                    if start == 2 * _BLOCK:
+                        raise ValueError("injected")
+                    yield start
+
+            derive(checked(), *args)
+
+        monkeypatch.setattr(cli, "_derive_blocks", failing)
+        baseline = threading.active_count()
+        with pytest.raises(ValueError, match="injected"):
+            cli._verify_cells("exp", (0.5,), (0.9,), ("min", "max", "sum"),
+                              2 * _BLOCK + 1, 5)
+        assert threading.active_count() == baseline
+
 
 def test_cold_start_without_numpy():
     """The package, its CLI and the analytic subcommands never load numpy,

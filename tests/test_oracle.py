@@ -18,7 +18,9 @@ survival, and the CTE of every solved target against the oracle's at
 import math
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck, Phase, assume, example, given, settings, strategies as st,
+)
 
 from copula_risk import cli, copula
 from copula_risk.aggregate import AggregateExpPortfolio, _SumLaw, aggregate_cdf
@@ -431,3 +433,72 @@ def test_cte_is_the_oracle(oracle, cell, theta, alpha):
         var = ref.quantile(ref.alpha)
         want = var + ref.tail_integral(var) / (1 - ref.alpha)
     assert _rel(got, want) <= CTE_REL_TOL
+
+
+VAR_MOT_REL_TOL = 1e-13
+# the fuzz domain of test_fuzz_domain.py: alpha near 0, near 1 and between
+tails = st.floats(-12.0, math.log10(0.5)).map(lambda e: 10.0**e)
+fuzz_alphas = st.one_of(
+    st.floats(1e-12, 1.0 - 1e-12), tails, tails.map(lambda t: 1.0 - t)
+)
+
+
+@st.composite
+def fuzz_cells(draw):
+    """A solved target's (family, target, p1, p2, x0): rates and x0
+    log-uniform over 1e-200..1e200, the second rate also at and within
+    1e-8 of the ratios 1 and 2 to the first, tail exponents in (1, 50]."""
+    family = draw(st.sampled_from(("exp", "pareto")))
+    if family == "exp":
+        l1 = 10.0 ** draw(exponents)
+        ratio = draw(
+            st.sampled_from((None, 1.0, 2.0, 0.5, 1.0 + 1e-9, 2.0 - 1e-8))
+        )
+        l2 = 10.0 ** draw(exponents) if ratio is None else l1 * ratio
+        target = draw(st.sampled_from(("min", "max", "sum")))
+        return family, target, l1, l2, 0.0
+    g1, g2 = (draw(st.floats(1.0, 50.0, exclude_min=True)) for _ in range(2))
+    return family, draw(targets), g1, g2, 10.0 ** draw(exponents)
+
+
+# The gate of ROADMAP item 2a, landed ahead of the tail-space solve that
+# is to meet it. The examples are item 2's cells: at rates (1e30, 2e30)
+# the exponential min's, max's and sum's VaR, and at x0 = 1e-13 the
+# Pareto min's and max's, each meet the absolute 1e-12 and miss by
+# percents. The sum's VaR at alpha <= 1e-3 is left out: its four signed
+# pairs cancel there, which is item 9b's.
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: the solver's tolerance 1e-12 is absolute, so "
+    "a VaR or MoT far below 1 misses 1e-13 relative",
+)
+@example(cell=("exp", "min", 1e30, 2e30, 0.0), theta=0.0, alpha=0.9)
+@example(cell=("exp", "max", 1e30, 2e30, 0.0), theta=0.0, alpha=0.9)
+@example(cell=("exp", "sum", 1e30, 2e30, 0.0), theta=0.0, alpha=0.9)
+@example(cell=("pareto", "min", 3.0, 4.0, 1e-13), theta=0.5, alpha=0.9)
+@example(cell=("pareto", "max", 3.0, 4.0, 1e-13), theta=0.5, alpha=0.9)
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    phases=(Phase.explicit, Phase.generate),
+    report_multiple_bugs=False,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(cell=fuzz_cells(), theta=thetas, alpha=fuzz_alphas)
+def test_var_and_mot_are_the_oracle(oracle, cell, theta, alpha):
+    family, target, p1, p2, x0 = cell
+    assume(target != "sum" or alpha > 1e-3)
+    if family == "exp":
+        p = build_portfolio("exp", theta, exp_rates=(p1, p2))
+    else:
+        p = build_portfolio(
+            "pareto", theta, pareto_x0=x0, pareto_gammas=(p1, p2)
+        )
+    got = compute_measure(p, target, ("var", "mot"), alpha)
+    with oracle.mpmath.workdps(oracle.DPS):
+        ref = oracle.Cell(family, target, p1, p2, x0, theta, alpha)
+        want = (ref.quantile(ref.alpha), ref.quantile((1 + ref.alpha) / 2))
+    for measure, g, w in zip(("var", "mot"), got, want):
+        assert _rel(g, w) <= VAR_MOT_REL_TOL, (measure, g, float(w))
