@@ -12,7 +12,9 @@ F_max = C(F1, F2) and F_min = 1 - C^(S1, S2), in mpmath at 60 digits, and
 their densities against the partials of C there; the copula API at its
 corners, the sum's CDF and tail integral against the oracle's pair
 survival, and the CTE of every solved target against the oracle's at
-1e-14 relative.
+1e-14 relative. Every solved VaR and MoT over the fuzz domain of
+test_fuzz_domain.py is held to the oracle at 1e-13 relative, a strict
+xfail until the solver stops at a relative tolerance (ROADMAP item 2).
 """
 
 import math
@@ -38,6 +40,7 @@ from copula_risk.tables import (
     compute_measure,
     compute_table,
 )
+from test_fuzz_domain import alphas, gammas, rate_pairs
 
 MEASURES = ("var", "cte", "mot")
 REL_TOL = 1e-11
@@ -45,6 +48,7 @@ CDF_REL_TOL = 2e-15
 SUM_CDF_ABS_TOL = 4 * 2.0**-52
 SUM_TAIL_REL_TOL = 1e-14
 CTE_REL_TOL = 1e-14
+VAR_MOT_REL_TOL = 1e-13
 EPS = 2.0**-52
 
 exponents = st.floats(-200.0, 200.0)
@@ -435,30 +439,15 @@ def test_cte_is_the_oracle(oracle, cell, theta, alpha):
     assert _rel(got, want) <= CTE_REL_TOL
 
 
-VAR_MOT_REL_TOL = 1e-13
-# the fuzz domain of test_fuzz_domain.py: alpha near 0, near 1 and between
-tails = st.floats(-12.0, math.log10(0.5)).map(lambda e: 10.0**e)
-fuzz_alphas = st.one_of(
-    st.floats(1e-12, 1.0 - 1e-12), tails, tails.map(lambda t: 1.0 - t)
-)
-
-
 @st.composite
 def fuzz_cells(draw):
-    """A solved target's (family, target, p1, p2, x0): rates and x0
-    log-uniform over 1e-200..1e200, the second rate also at and within
-    1e-8 of the ratios 1 and 2 to the first, tail exponents in (1, 50]."""
-    family = draw(st.sampled_from(("exp", "pareto")))
-    if family == "exp":
-        l1 = 10.0 ** draw(exponents)
-        ratio = draw(
-            st.sampled_from((None, 1.0, 2.0, 0.5, 1.0 + 1e-9, 2.0 - 1e-8))
-        )
-        l2 = 10.0 ** draw(exponents) if ratio is None else l1 * ratio
-        target = draw(st.sampled_from(("min", "max", "sum")))
-        return family, target, l1, l2, 0.0
-    g1, g2 = (draw(st.floats(1.0, 50.0, exclude_min=True)) for _ in range(2))
-    return family, draw(targets), g1, g2, 10.0 ** draw(exponents)
+    """A solved target's (family, target, p1, p2, x0) over the fuzz domain
+    of test_fuzz_domain.py."""
+    if draw(st.booleans()):
+        l1, l2 = draw(rate_pairs())
+        return "exp", draw(st.sampled_from(("min", "max", "sum"))), l1, l2, 0.0
+    g1, g2, x0 = draw(gammas), draw(gammas), 10.0 ** draw(exponents)
+    return "pareto", draw(targets), g1, g2, x0
 
 
 # The gate of ROADMAP item 2a, landed ahead of the tail-space solve that
@@ -486,19 +475,21 @@ def fuzz_cells(draw):
     report_multiple_bugs=False,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(cell=fuzz_cells(), theta=thetas, alpha=fuzz_alphas)
+@given(cell=fuzz_cells(), theta=thetas, alpha=alphas)
 def test_var_and_mot_are_the_oracle(oracle, cell, theta, alpha):
     family, target, p1, p2, x0 = cell
-    assume(target != "sum" or alpha > 1e-3)
     if family == "exp":
         p = build_portfolio("exp", theta, exp_rates=(p1, p2))
     else:
         p = build_portfolio(
             "pareto", theta, pareto_x0=x0, pareto_gammas=(p1, p2)
         )
-    got = compute_measure(p, target, ("var", "mot"), alpha)
+    lower_sum = target == "sum" and alpha <= 1e-3
+    measures = ("mot",) if lower_sum else ("var", "mot")
+    got = compute_measure(p, target, measures, alpha)
     with oracle.mpmath.workdps(oracle.DPS):
         ref = oracle.Cell(family, target, p1, p2, x0, theta, alpha)
-        want = (ref.quantile(ref.alpha), ref.quantile((1 + ref.alpha) / 2))
-    for measure, g, w in zip(("var", "mot"), got, want):
-        assert _rel(g, w) <= VAR_MOT_REL_TOL, (measure, g, float(w))
+        levels = {"var": ref.alpha, "mot": (1 + ref.alpha) / 2}
+        for measure, value in zip(measures, got):
+            want = ref.quantile(levels[measure])
+            assert _rel(value, want) <= VAR_MOT_REL_TOL, (measure, value, want)
