@@ -2,13 +2,13 @@
 
 The FGM density splits into at most four weighted pairs of independent
 marginals (`fgm_pairs`); the minimum, maximum and sum laws all read them.
-The exponential extremes read the copula in nonnegative terms: the CDF is
-F_max = C(F1, F2) or S_min = C(S1, S2), and the density l1 S1 dC/du +
-l2 S2 dC/dv there. Only the mean excess beyond q, int_q^inf S / S(q), sums
-the signed survival terms w_i * exp(-r_i x) of `extreme_terms`. As
-X = x0 exp(E) with E ~ Exp(g) for X ~ Pareto(x0, g), the Pareto extremes
-are that law read at log(x/x0), bar their mean excess, whose terms are
-Pareto ones. The sum's four hypoexponential pairs are in `aggregate`.
+The exponential extremes read the marginals at one point: the CDF is
+F_max = C(F1, F2) or S_min = C(S1, S2), the density l1 S1 dC/du +
+l2 S2 dC/dv there, and the mean excess int_q^inf S / S(q) the pairs'
+closed-form tail integrals at S1 and S2. As X = x0 exp(E) with E ~ Exp(g)
+for X ~ Pareto(x0, g), the Pareto extremes are that law read at
+log(x/x0), bar their mean excess, whose pairs integrate as Pareto ones.
+The sum's four hypoexponential pairs are in `aggregate`.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .copula import _partial
-from .errors import DivergentTail, DomainError
+from .errors import DivergentTail
 from .marginals import Marginal, Method
-
-Terms = tuple[tuple[float, float], ...]
 
 # upper_end's relative margin (64 ulps) over rounding in quantiles and cdfs
 _MARGIN = 2.0**-46
@@ -42,19 +40,10 @@ def upper_end(target: str, m1: Marginal, m2: Marginal, level: float) -> float:
     return hi * (1.0 + _MARGIN)
 
 
-def extreme_terms(p1: float, p2: float, theta: float, target: str) -> Terms:
-    """The signed survival terms (w, i*p1 + j*p2) of the min, over the pairs
-    (w, i, j) of `fgm_pairs`, or of the max: S1 + S2 - P(min > x)."""
-    terms = tuple((w, i * p1 + j * p2) for w, i, j in fgm_pairs(theta))
-    if target == "max":
-        terms = ((1.0, p1), (1.0, p2)) + tuple((-w, r) for w, r in terms)
-    return terms
-
-
 @dataclass(frozen=True)
 class ExpTermMixture:
-    """The min or max (`target`) of FGM-coupled Exp(l1) and Exp(l2): `cdf` and
-    `pdf` read the copula in nonnegative terms, `mean_excess` `extreme_terms`."""
+    """The min or max (`target`) of FGM-coupled Exp(l1) and Exp(l2), l1 <= l2,
+    every method read at the marginals' survivals."""
 
     l1: float
     l2: float
@@ -83,24 +72,27 @@ class ExpTermMixture:
         if x < 0.0:
             return 0.0
         t1, t2, th = self.l1 * x, self.l2 * x, self.theta
-        s1, s2 = math.exp(-t1), math.exp(-t2)
+        # li*Si as (li*hi)*hi with hi = exp(-ti/2): Si underflows first
+        h1, h2 = math.exp(-0.5 * t1), math.exp(-0.5 * t2)
+        s1, s2 = h1 * h1, h2 * h2
         f1, f2 = -math.expm1(-t1), -math.expm1(-t2)
         # the max's CDF is C(F1, F2), the min's survival C(S1, S2)
         u, ub, v, vb = (f1, s1, f2, s2) if self.target == "max" else (s1, f1, s2, f2)
         d1, d2 = _partial(th, u, ub, v, vb), _partial(th, v, vb, u, ub)
-        return self.l1 * s1 * d1 + self.l2 * s2 * d2
+        return self.l1 * h1 * h1 * d1 + self.l2 * h2 * h2 * d2
 
     def mean_excess(self, q: float, s: float) -> float:
         """E[X - q | X > q] at a quantile q of tail mass s: int_q^inf S / s,
-        term by term (s only divides, so s = 1 gives the integral);
-        DomainError where a term rate r overflows, as exp(-r q)/r reads 0."""
-        terms = extreme_terms(self.l1, self.l2, self.theta, self.target)
-        if max(r for _, r in terms) == math.inf:
-            raise DomainError(
-                f"the {self.target}'s term rates i*l1 + j*l2 must be finite, "
-                f"got l1={self.l1!r}, l2={self.l2!r}"
-            )
-        return sum(w * math.exp(-r * q) / r for w, r in terms) / s
+        s only dividing. A pair (w, i, j) integrates to w S1^i S2^j/(i l1 +
+        j l2), here (1/l2)/(i r + j) at r = l1/l2 <= 1, finite for any pair;
+        the max's is S1/l1 + S2/l2 less the min's. s divides before l2 does,
+        so that a rate near 1e308 leaves no subnormal in between."""
+        s1, s2 = math.exp(-self.l1 * q), math.exp(-self.l2 * q)
+        r = self.l1 / self.l2
+        m = sum(w * s1**i * s2**j / (i * r + j) for w, i, j in fgm_pairs(self.theta))
+        if self.target == "max":
+            return (s1 / s) / self.l1 + ((s2 - m) / s) / self.l2
+        return (m / s) / self.l2
 
 
 def _log_ratio(x: float, x0: float) -> float:
@@ -135,24 +127,23 @@ class ParetoTermMixture(ExpTermMixture):
         return ExpTermMixture.pdf(self, _log_ratio(x, self.x0)) / x
 
     def mean_excess(self, q: float, s: float) -> float:
-        """E[X - q | X > q] at a quantile q of tail mass s: int_q^inf S / s,
-        term by term as q (x0/q)^g / (g - 1), s only dividing as for the
-        exponential; every exponent must exceed 1. A term whose exponent
-        overflows adds 0, where its share is below q/(g - 1) and so below
-        the last digit of the CTE q + mean excess.
-
-        Raises DivergentTail otherwise: for the minimum of two Pareto losses
-        that is g1 + g2 <= 1, for the maximum min(g1, g2) <= 1. Raising the
-        ratio x0/q <= 1 keeps large exponents from overflowing.
-        """
-        terms = extreme_terms(self.l1, self.l2, self.theta, self.target)
-        g_min = min(g for _, g in terms)
+        """The exponential's at Sk = (x0/q)^gk: a pair integrates to
+        w q S1^i S2^j/(i g1 + j g2 - 1), a marginal to q Sk/(gk - 1). A
+        power that underflows adds 0, below the CTE's last digit. Raises
+        DivergentTail where an exponent is at most 1: the min's smallest
+        i g1 + j g2 (g1 + g2 bar theta = -1), the max's min(g1, g2)."""
+        g1, g2, pairs = self.l1, self.l2, fgm_pairs(self.theta)
+        gs = [i * g1 + j * g2 for _, i, j in pairs]
+        g_min = min(g1, g2) if self.target == "max" else min(gs)
         if g_min <= 1.0:
             raise DivergentTail(
                 f"tail expectation requires every exponent > 1, got {g_min}"
             )
-        r = self.x0 / q
-        return sum(w * q * r**g / (g - 1.0) for w, g in terms) / s
+        s1, s2 = (self.x0 / q) ** g1, (self.x0 / q) ** g2
+        m = sum(w * s1**i * s2**j / (g - 1.0) for (w, i, j), g in zip(pairs, gs))
+        if self.target == "max":
+            m = s1 / (g1 - 1.0) + s2 / (g2 - 1.0) - m
+        return q * (m / s)
 
 
 def fgm_pairs(theta: float) -> tuple[tuple[float, int, int], ...]:

@@ -4,9 +4,9 @@ one path that measures the law of every target.
 Under FGM dependence either extreme's law is the copula read at the
 marginals, F_max = C(F1, F2) and P(min > x) = C(S1, S2), as the FGM copula
 is radially symmetric. `ExpTermMixture` evaluates its CDF and density with
-every term nonnegative; only its mean excess sums the signed survival terms
-of `_mixtures.extreme_terms`. `ParetoTermMixture` is that exponential law
-read at log(x/x0), with its own mean excess of Pareto terms.
+every term nonnegative, and its mean excess from the FGM pairs, all at the
+marginals' survivals. `ParetoTermMixture` is that exponential law read at
+log(x/x0), with its own mean excess of Pareto pairs.
 
 Every law has `mean_excess(q, s)`, E[X - q | X > q] at a quantile q of
 tail mass s, in closed form (raising `DivergentTail` where it diverges), so
@@ -213,7 +213,7 @@ def extreme_mot(p: BivariatePortfolio, s, alpha: AlphaLike) -> float:
 def extreme_cte(p: BivariatePortfolio, s, alpha: AlphaLike) -> float:
     """Conditional tail expectation of the selected extreme.
 
-    VaR plus the mean excess beyond it, a signed sum of closed-form terms.
+    VaR plus the mean excess beyond it, from the FGM pairs' tail integrals.
 
     Raises:
         DivergentTail: for Pareto marginals whose tail exponents make the

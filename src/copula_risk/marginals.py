@@ -166,10 +166,12 @@ def _dispatch(m: Marginal):
 
 
 def cdf(m: Marginal, x):
-    """Distribution function; 0 below the support."""
+    """Distribution function; 0 below the support. DomainError at NaN x."""
     import numpy as np
 
     xs = np.asarray(x, dtype=float)
+    if np.isnan(xs).any():
+        raise DomainError("x must not be NaN")
     if _dispatch(m) == "exp":
         out = np.where(xs > 0.0, -np.expm1(-m.rate * np.maximum(xs, 0.0)), 0.0)
     else:
@@ -180,10 +182,12 @@ def cdf(m: Marginal, x):
 
 
 def pdf(m: Marginal, x):
-    """Density; 0 outside the support."""
+    """Density; 0 outside the support. DomainError at NaN x."""
     import numpy as np
 
     xs = np.asarray(x, dtype=float)
+    if np.isnan(xs).any():
+        raise DomainError("x must not be NaN")
     if _dispatch(m) == "exp":
         out = np.where(
             xs >= 0.0, m.rate * np.exp(-m.rate * np.maximum(xs, 0.0)), 0.0

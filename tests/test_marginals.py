@@ -78,6 +78,13 @@ class TestCdf:
         assert cdf(EXP2, 200.0) == pytest.approx(1.0, abs=1e-12)
         assert cdf(PAR2, 1e9) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [EXP1, PAR1])
+    def test_nan_point_rejected(self, m):
+        # NaN, and None, which numpy reads as NaN, read 0.0 below the support
+        for x in (float("nan"), None, np.array([0.5, float("nan")]), [2.0, None]):
+            with pytest.raises(DomainError):
+                cdf(m, x)
+
 
 class TestPdf:
     def test_known_values(self):
@@ -103,6 +110,13 @@ class TestPdf:
     def test_outside_support(self):
         assert pdf(EXP1, -1.0) == 0.0
         assert pdf(PAR1, 0.9) == 0.0
+
+    @pytest.mark.parametrize("m", [EXP1, PAR1])
+    def test_nan_point_rejected(self, m):
+        # as for cdf
+        for x in (float("nan"), None, np.array([0.5, float("nan")]), [2.0, None]):
+            with pytest.raises(DomainError):
+                pdf(m, x)
 
     @pytest.mark.parametrize("m", [EXP1, EXP2, PAR1, PAR2])
     def test_integrates_to_one(self, m):
