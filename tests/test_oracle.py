@@ -518,7 +518,7 @@ def extreme_cells(draw):
     l1 = 10.0 ** draw(wide_exponents)
     ratio = draw(st.sampled_from((None, 1.0, 2.0, 0.5, 1.0 + 1e-9, 2.0 - 1e-8)))
     if ratio is None:
-        l1, l2 = l1, 10.0 ** draw(wide_exponents)
+        l2 = 10.0 ** draw(wide_exponents)
     else:
         l1, l2 = (l1, l1 * ratio) if l1 * ratio <= 1.7e308 else (l1 / ratio, l1)
     return "exp", draw(targets), l1, l2, 0.0
@@ -528,9 +528,9 @@ def extreme_cells(draw):
 # oracle's VaR q, against the oracle's at that same float q. A value below
 # the normal range keeps fewer digits, so a few units of the smallest
 # subnormal are allowed besides the relative bound. The examples are rates
-# near the largest float, where a term rate i*l1 + j*l2 overflows; at the
-# second the order of the final divisions decides whether a subnormal
-# intermediate loses digits.
+# near the largest float, where a term rate i*l1 + j*l2 overflows; at
+# (1e308, 1.7e308) the order of the final divisions decides whether a
+# subnormal intermediate loses digits.
 @example(cell=("exp", "min", 1e308, 1e308, 0.0), theta=0.5, alpha=0.9)
 @example(cell=("exp", "max", 1e308, 1e308, 0.0), theta=0.5, alpha=0.9)
 @example(cell=("exp", "min", 1e308, 1.7e308, 0.0), theta=-1.0, alpha=0.99)
