@@ -24,8 +24,8 @@ The sum is measured on the same `BivariatePortfolio` as the min and max.
 `_SumLaw` raises `DomainError` when the marginals are not exponential;
 `AggregateExpPortfolio` is the subclass that makes the same check when it
 is built. `_SumLaw` is the solved law that `tables.law_of` gives for the
-sum, with `lo = 0`, `hi`, a `cdf` and a `mean_excess`, so the sum's
-measures take the one path of every target, `extremes.law_measures`.
+sum, with `lo = 0`, `hi`, a `survival`, a `cdf` and a `mean_excess`, so the
+sum's measures take the one path of every target, `extremes.law_measures`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from ._mixtures import fgm_pairs, upper_end
 from .errors import DomainError, number
 from .extremes import BivariatePortfolio, law_measures, law_report
 from .marginals import AlphaLike, ExponentialMarginal, Method, RiskReport
+from .numerics import _ABS_TOL
 
 # Sums solve through extremes.solve_level. The benchmark's layer tracing
 # (perfbench/tracing.py) still rebinds these four names on this module, so
@@ -90,13 +91,15 @@ def _phi(z: float) -> float:
 
 
 class _SumLaw:
-    """Distribution of X1 + X2: `cdf`, `pdf` and `mean_excess` loop over
-    `_pairs`, the pairs of `fgm_pairs` as (w, -b, b - a, b, a), whose signs
-    are folded in so that the root solver's calls to `cdf` negate nothing."""
+    """Distribution of X1 + X2: `survival`, `pdf` and `mean_excess` loop
+    over `_pairs`, the pairs of `fgm_pairs` as (w, -b, b - a, b, a), whose
+    signs are folded in so that the root solver's calls negate nothing."""
 
     __slots__ = ("_pairs", "hi")
     lo = 0.0
     method = Method.ROOT_SOLVE
+    # 1 - S keeps no relative digits in the lower tail, where the pairs cancel
+    cdf_tol = _ABS_TOL
 
     def __init__(self, p: BivariatePortfolio) -> None:
         _check_exponential(p)
@@ -114,16 +117,20 @@ class _SumLaw:
             )
         self._pairs = tuple((w, -b, b - a, b, a) for w, a, b in pairs)
 
-    def cdf(self, x: float) -> float:
-        """1 - S(x), with phi written out for the root solver's inner loop."""
+    def survival(self, x: float) -> float:
+        """The sum of the pairs' survivals, clipped to [0, 1] (a NaN, from
+        0 * inf far in the tail, to 0), with phi written out for the root
+        solver's inner loop."""
         if x <= 0.0:
-            return 0.0
+            return 1.0
         s = 0.0
         for w, nb, nd, b, _ in self._pairs:
             z = nd * x
             s += w * exp(nb * x) * (1.0 + b * x * (expm1(z) / z if z else 1.0))
-        c = 1.0 - s
-        return c if 0.0 <= c <= 1.0 else (0.0 if c < 0.0 else 1.0)
+        return s if 0.0 <= s <= 1.0 else (1.0 if s > 1.0 else 0.0)
+
+    def cdf(self, x: float) -> float:
+        return 1.0 - self.survival(x)
 
     def pdf(self, x: float) -> float:
         # at +inf each pair's b*x*phi(d*x) would be inf*0

@@ -13,9 +13,10 @@ tail mass s, in closed form (raising `DivergentTail` where it diverges), so
 every CTE is VaR plus the mean excess beyond it. Each target's law
 (`tables.law_of`) states its `method`. `law_measures` reads the quantiles
 of a closed-form law (a marginal), each at its tail mass; it solves the
-others, which share `lo`, the left end of the support, `cdf` and
-`hi(level)`, `_mixtures.upper_end` of its marginals: `solve_level` bisects
-the CDF once on [lo, hi(level)]. `law_report` builds every `RiskReport`
+others, which share `lo`, the left end of the support, `cdf`, `survival`,
+`cdf_tol` and `hi(tail)`, `_mixtures.upper_end` of its marginals:
+`solve_level` solves once on [lo, hi(tail)], on the survival from level
+1/2 up. `law_report` builds every `RiskReport`
 from `law_measures`, and every public measure of a marginal, an extreme or
 the sum is one call into them.
 """
@@ -119,18 +120,27 @@ def extreme_pdf(p: BivariatePortfolio, s, x: float) -> float:
 
 # solve_increasing is looked up on this module at call time, so rebinding it
 # here (as perfbench's layer tracing does) reaches the solves of the sum too
-def solve_level(law, level: float) -> float:
-    """Smallest x with law.cdf(x) >= level: one bisection of [law.lo,
-    law.hi(level)], the closed-form bracket of `_mixtures.upper_end`.
+def solve_level(law, level: float, tail: float) -> float:
+    """Smallest x with law.cdf(x) >= level, of tail mass `tail` (1 - level,
+    exact where level rounds): one solve on [law.lo, law.hi(tail)], the
+    closed-form bracket of `_mixtures.upper_end`. From level 1/2 up it
+    solves law.survival(x) = tail, which keeps the digits of a small tail
+    mass, to adjacent floats; below, law.cdf(x) = level to law.cdf_tol, 0
+    (adjacent floats) where the CDF keeps its relative digits too.
 
     A bracket end that overflows is clipped to the largest float; DomainError
-    if the CDF there is still below the level."""
-    hi = law.hi(level)
+    if the law there has not yet reached the level."""
+    hi = law.hi(tail)
+    upper = level >= 0.5
     if hi == inf:
         hi = float_info.max
-        if not law.cdf(hi) >= level:
+        if not (law.survival(hi) <= tail if upper else law.cdf(hi) >= level):
             raise DomainError(f"the bracket at level {level!r} overflows")
-    return solve_increasing(law.cdf, level, law.lo, hi)
+    if upper:
+        return solve_increasing(
+            law.survival, level, law.lo, hi, tail=tail, tol=0.0
+        )
+    return solve_increasing(law.cdf, level, law.lo, hi, tol=law.cdf_tol)
 
 
 MEASURES = ("var", "cte", "mot")
@@ -148,11 +158,12 @@ def law_measures(law, alpha: AlphaLike, measures):
     Each level is found once: VaR at alpha, which CTE reuses, and MoT at
     (1 + alpha) / 2. A law of `Method.CLOSED_FORM` gives its quantiles, read
     at the tail mass 1 - alpha or, for the MoT, half of it; any other is
-    solved. CTE is VaR plus the law's mean excess beyond it, which the VaR's
-    solver error moves only to second order, as d/dq of q + int_q^inf S / s
-    is 1 - S(q)/s, 0 at the VaR. Raises DomainError for another measure, for
-    a CTE that is NaN or below its VaR, or, for a solved law, where the MoT
-    level rounds to 1 (alpha within 2**-53 of 1).
+    solved at that tail mass (`solve_level`). CTE is VaR plus the law's
+    mean excess beyond it, which the VaR's solver error moves only to
+    second order, as d/dq of q + int_q^inf S / s is 1 - S(q)/s, 0 at the
+    VaR. Raises DomainError for another measure, for a CTE that is NaN or
+    below its VaR, or, for a solved law, where the MoT level rounds to 1
+    (alpha within 2**-53 of 1).
     """
     many = isinstance(measures, (tuple, list))
     names = tuple(measures) if many else (measures,)
@@ -166,11 +177,12 @@ def law_measures(law, alpha: AlphaLike, measures):
     for name in names:
         level = _mot_level(a) if name == "mot" else a
         if level not in quantiles:
-            if closed:  # 1 - a and its half are exact where (1 + a)/2 rounds
-                s = 0.5 * (1.0 - a) if name == "mot" else 1.0 - a
+            # 1 - a and its half are exact where (1 + a)/2 rounds
+            s = 0.5 * (1.0 - a) if name == "mot" else 1.0 - a
+            if closed:
                 quantiles[level] = law.quantile(level, s)
             elif level < 1.0:
-                quantiles[level] = solve_level(law, level)
+                quantiles[level] = solve_level(law, level, s)
             else:  # a solved CDF rounds to 1 at some finite x
                 raise DomainError(
                     f"quantile level must lie in [0, 1), got {level!r} for "

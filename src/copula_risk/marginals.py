@@ -165,13 +165,33 @@ def _dispatch(m: Marginal):
     raise DomainError(f"unsupported marginal type: {type(m).__name__}")
 
 
-def cdf(m: Marginal, x):
-    """Distribution function; 0 below the support. DomainError at NaN x."""
+def _points(x):
+    """x as a float array. DomainError for a str or bytes point or element,
+    which numpy would read as a number ("0.5"), for anything float() cannot
+    convert, and for NaN."""
     import numpy as np
 
-    xs = np.asarray(x, dtype=float)
+    xs = np.asarray(x)
+    kind = xs.dtype.kind
+    if kind in "SU" or (
+        kind == "O" and any(isinstance(v, (str, bytes)) for v in xs.flat)
+    ):
+        raise DomainError(f"x must be a number, got {x!r}")
+    try:
+        xs = xs.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"x must be a number: {exc}") from None
     if np.isnan(xs).any():
         raise DomainError("x must not be NaN")
+    return xs
+
+
+def cdf(m: Marginal, x):
+    """Distribution function; 0 below the support. DomainError where x is
+    not a number or is NaN (`_points`)."""
+    import numpy as np
+
+    xs = _points(x)
     if _dispatch(m) == "exp":
         out = np.where(xs > 0.0, -np.expm1(-m.rate * np.maximum(xs, 0.0)), 0.0)
     else:
@@ -182,12 +202,11 @@ def cdf(m: Marginal, x):
 
 
 def pdf(m: Marginal, x):
-    """Density; 0 outside the support. DomainError at NaN x."""
+    """Density; 0 outside the support. DomainError where x is not a number
+    or is NaN (`_points`)."""
     import numpy as np
 
-    xs = np.asarray(x, dtype=float)
-    if np.isnan(xs).any():
-        raise DomainError("x must not be NaN")
+    xs = _points(x)
     if _dispatch(m) == "exp":
         out = np.where(
             xs >= 0.0, m.rate * np.exp(-m.rate * np.maximum(xs, 0.0)), 0.0

@@ -2,9 +2,11 @@
 quadrature.
 
 Every distribution function in this package is monotone, cheap and smooth,
-so the root solver favours robustness over iteration count: plain bisection
-to the fixed x-axis tolerance _ABS_TOL ends within about 1,065 halvings of
-any float bracket and is fully deterministic.
+so the root solver is Chandrupatla's hybrid of inverse quadratic
+interpolation and bisection (T. R. Chandrupatla, Advances in Engineering
+Software 28(3), 1997), with a bisection wherever the bracket has not halved
+over three steps: about 11 evaluations per solve of a law, to adjacent
+floats, where plain bisection to 1e-12 took about 44, and as deterministic.
 
 No measure is computed by quadrature: `quad_tail` is kept only as the
 tests' oracle for the laws' closed-form mean excess and for the benchmark
@@ -28,46 +30,95 @@ _MAX_SIMPSON_DEPTH = 56
 _QUAD_REL_TOL = 1e-10
 
 
-# width on the x axis at which bisection stops; every solved value states it
+# width on the x axis at which a solve stops by default; every solved value
+# states it
 _ABS_TOL = 1e-12
+# relative width, two to four floats, below which a residual is rounding
+# noise: a solve bisects there instead of interpolating, and an interpolated
+# step lands at least half of it inside the bracket
+_REL_WIDTH = 2.0**-51
 # bound on expand_bracket's doublings
 _MAX_ITER = 200
 
 
 def solve_increasing(
-    f: Callable[[float], float], target: float, lo: float, hi: float
+    f: Callable[[float], float],
+    target: float,
+    lo: float,
+    hi: float,
+    tail: float | None = None,
+    tol: float = _ABS_TOL,
 ) -> float:
-    """Solve f(x) = target for a nondecreasing f bracketed on [lo, hi].
+    """Solve f(x) = target for a nondecreasing f bracketed on [lo, hi]; or,
+    given `tail`, f(x) = tail for a nonincreasing survival f, `target` then
+    naming the level 1 - tail that the solve reaches.
 
-    Bisection keeping the invariant f(lo) <= target <= f(hi); when f is flat
-    at the target the left-most solution is returned, matching the
-    inf{x : f(x) >= target} quantile convention.
+    Chandrupatla's method on the residual r, f - target or tail - f, which
+    keeps the invariant r(lo) < 0 <= r(hi), so where r is 0 over a stretch
+    the left-most solution is returned, matching the inf{x : F(x) >= level}
+    quantile convention. A step interpolates r inversely through the last
+    three points where that interpolant is monotone and the bracket is wider
+    than w = max(_REL_WIDTH * |x|, tol), landing at least w/2 inside it so
+    that a step from a point that close to the root crosses it. It bisects
+    otherwise, and whenever the bracket has not halved over the last three
+    steps, so a solve takes at most four times bisection's evaluations. The
+    solve returns the bracket's midpoint once it is no wider than `tol`, or,
+    at adjacent floats, the one where r >= 0: with tol = 0, the left-most
+    float where r >= 0.
 
     Raises:
-        BracketInvalid: if f(lo) > target or f(hi) < target.
+        BracketInvalid: if f(lo) and f(hi) do not bracket the target.
     """
+    sign, t0 = (1.0, target) if tail is None else (-1.0, tail)
     flo = f(lo)
     fhi = f(hi)
-    if flo > target or fhi < target:
+    # x1 is the newest point and x2 the bracket's other end, so r(x1) and
+    # r(x2) lie on either side of 0; x3 is the point dropped last
+    x1, r1 = lo, sign * (flo - t0)
+    x2, r2 = hi, sign * (fhi - t0)
+    if r1 > 0.0 or r2 < 0.0:
         raise BracketInvalid(
-            f"[{lo}, {hi}] does not bracket target {target}: "
+            f"[{lo}, {hi}] does not bracket target {t0}: "
             f"f(lo)={flo}, f(hi)={fhi}"
         )
-    if flo >= target:
+    if r1 == 0.0:
         return lo
-    # the width halves from at most 2**1024 to _ABS_TOL ~ 2**-40: <= 1,065 steps
+    if hi - lo <= tol:
+        return 0.5 * lo + 0.5 * hi
+    t = 0.5
+    d1 = d2 = d3 = math.inf  # the bracket's widths before the last 3 steps
     while True:
-        # the bits of 0.5 * (lo + hi) in the normal range, without overflow
-        mid = 0.5 * lo + 0.5 * hi
-        if hi - lo <= _ABS_TOL:
-            return mid
-        if not lo < mid < hi:
-            # interval narrower than float resolution
-            return mid
-        if f(mid) >= target:
-            hi = mid
+        x = x1 + t * (x2 - x1)
+        if not (x1 < x < x2 or x2 < x < x1):
+            # the bits of 0.5 * (x1 + x2) in the normal range, without overflow
+            x = 0.5 * x1 + 0.5 * x2
+            if x == x1 or x == x2:  # adjacent floats
+                return x1 if r1 >= 0.0 else x2
+        r = sign * (f(x) - t0)
+        if (r < 0.0) == (r1 < 0.0):
+            x3, r3 = x1, r1
         else:
-            lo = mid
+            x3, r3 = x2, r2
+            x2, r2 = x1, r1
+        x1, r1 = x, r
+        dx = abs(x2 - x1)
+        if dx <= tol:
+            return 0.5 * x1 + 0.5 * x2
+        w = _REL_WIDTH * abs(x1)
+        if w < tol:
+            w = tol
+        t = 0.5
+        if w < dx <= 0.5 * d3:
+            # Chandrupatla's test that the interpolant is monotone
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (r1 - r2) / (r3 - r2)
+            if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+                t = r1 / (r1 - r2) * r3 / (r3 - r2) - (x3 - x1) / (
+                    x2 - x1
+                ) * r1 / (r3 - r1) * r2 / (r2 - r3)
+                tl = 0.5 * w / dx
+                t = tl if t < tl else (1.0 - tl if t > 1.0 - tl else t)
+        d3, d2, d1 = d2, d1, dx
 
 
 def expand_bracket(

@@ -78,14 +78,9 @@ def test_pointwise_order(family, data, alpha, theta):
                     assert at_most(lo, hi), (measure, lo_t, hi_t, lo, hi)
 
 
-# At the paper's parameters the max's VaR reads below x1's: 72.66 against
-# 73.47 (exp), 181,760.5 against 208,063.8 (Pareto), at every theta here.
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2a: at alpha = 1 - 2**-53 the solved CDF is 1 "
-    "minus survival terms near 1e-16, so the VaR loses its level",
-)
+# At the paper's parameters the max's VaR read below x1's while the solve
+# bisected F = 1 - S, whose survival terms near 1e-16 had lost their digits:
+# 72.66 against 73.47 (exp), 181,760.5 against 208,063.8 (Pareto).
 @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.5, 1.0])
 @pytest.mark.parametrize("family", ["exp", "pareto"])
 def test_var_order_at_the_largest_alpha(family, theta):

@@ -28,14 +28,6 @@ from copula_risk.marginals import (
 E1, E2 = ExponentialMarginal(0.5), ExponentialMarginal(0.6)
 P1, P2 = ParetoMarginal(1.0, 3.0), ParetoMarginal(1.0, 4.0)
 
-LARGE_RATES = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: the solver's tolerance 1e-12 is absolute, so "
-    "the bracket [0, about 1.2e-30] is returned as its midpoint, a quarter "
-    "below the root",
-)
-
 
 def exp_portfolio(theta):
     return BivariatePortfolio(E1, E2, FgmCopula(theta))
@@ -261,9 +253,9 @@ class TestExtremeVar:
                 assert extreme_var(p, "min", alpha) <= min(v1, v2) + 1e-9
                 assert extreme_var(p, "max", alpha) >= max(v1, v2) - 1e-9
 
-    # at equal rates the bracket [0, min(q1, q2)] is twice the root and
-    # narrower than the solver tolerance, so the first midpoint, returned, is the root
-    @pytest.mark.parametrize("l2", [1e30, pytest.param(2e30, marks=LARGE_RATES)])
+    # a VaR near 1e-30, far below the absolute tolerance 1e-12: an
+    # upper-tail solve also stops at a relative width
+    @pytest.mark.parametrize("l2", [1e30, 2e30])
     def test_min_var_at_large_rates(self, l2):
         p = BivariatePortfolio(
             ExponentialMarginal(1e30), ExponentialMarginal(l2), FgmCopula(0.0)
@@ -300,8 +292,8 @@ class TestExtremeVar:
 
 
 class TestExtremeCte:
-    # equal rates pass as test_min_var_at_large_rates does
-    @pytest.mark.parametrize("l2", [1e30, pytest.param(2e30, marks=LARGE_RATES)])
+    # as in test_min_var_at_large_rates
+    @pytest.mark.parametrize("l2", [1e30, 2e30])
     def test_min_cte_at_large_rates(self, l2):
         p = BivariatePortfolio(
             ExponentialMarginal(1e30), ExponentialMarginal(l2), FgmCopula(0.0)

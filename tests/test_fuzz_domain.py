@@ -2,9 +2,10 @@
 log-uniform over 1e-200..1e200, tail exponents in (1, 50], theta in
 [-1, 1] with both endpoints, and alpha from 1e-12 to 1 - 1e-12.
 
-- Every solved level is bracketed in closed form: `law.hi(level)` comes
-  from the marginals' quantiles (`_mixtures.upper_end`), its CDF reaches
-  the level in floating point, and no report searches for a bracket.
+- Every solved level is bracketed in closed form: `law.hi(tail)` comes
+  from the marginals' quantiles at the level's tail mass
+  (`_mixtures.upper_end`), the law reaches the level there in floating
+  point, and no report searches for a bracket.
 - Swap, bit for bit: the FGM copula is exchangeable, C(u, v) = C(v, u),
   and every law takes its marginals' parameters in ascending order, so
   the min, max and sum keep every bit of their measures when the
@@ -18,8 +19,8 @@ log-uniform over 1e-200..1e200, tail exponents in (1, 50], theta in
     exp is increasing, so the Pareto min's and max's VaR and MoT are x0
     exp of the exponential law's at rates (g1, g2). CTE does not map.
 
-  The solver does not meet its stated tolerance across this domain yet,
-  so each of these is a strict xfail pinned by cells that fail.
+  Each runs with the examples that failed while the solver bisected F = 1 - S
+  to an absolute tolerance.
 """
 
 import math
@@ -83,13 +84,17 @@ def test_every_bracket_reaches_its_level(data, theta, alpha):
     p = data.draw(portfolios(family, theta))
     for target in SOLVED[family]:
         law = law_of(p, target)
-        for level in (alpha, _mot_level(alpha)):
+        for level, tail in ((alpha, 1.0 - alpha),
+                            (_mot_level(alpha), 0.5 * (1.0 - alpha))):
             if not level < 1.0:
                 continue
-            hi = law.hi(level)
-            assert law.cdf(hi) >= level, (target, level, hi)
+            hi = law.hi(tail)
+            # what the solve reads: the survival from 1/2 up, else the CDF
+            reached = (law.survival(hi) <= tail if level >= 0.5
+                       else law.cdf(hi) >= level)
+            assert reached, (target, level, hi)
             try:
-                extremes.solve_level(law, level)
+                extremes.solve_level(law, level, tail)
             except CopulaRiskError:  # any other error fails the test
                 pass
 
@@ -140,17 +145,6 @@ def ldexp(x, k):
         return math.inf
 
 
-ITEMS_8_AND_2 = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP items 8 and 2: the scale and family-map identities fail "
-    "as the solver's tolerance is absolute, so it bisects to the float "
-    "spacing of large values, and its CDF is 1 minus a sum, flat over many "
-    "floats where alpha nears 0 or 1",
-)
-
-
-@ITEMS_8_AND_2
 @given(rates_k=scaled(2), theta=thetas, alpha=alphas)
 # values near 1e91, whose CTE holds only if the VaR's solver error reaches
 # it to second order
@@ -173,7 +167,6 @@ def test_exponential_measures_scale_with_the_rates(rates_k, theta, alpha):
     assert not bad
 
 
-@ITEMS_8_AND_2
 @given(x0_k=scaled(1), g1=gammas, g2=gammas, theta=thetas, alpha=alphas)
 # values near 1e90, the same for the min's CTE
 @example(x0_k=((1.0,), 300), g1=3.0, g2=4.0, theta=0.0, alpha=0.9)
@@ -223,7 +216,6 @@ def test_measures_are_unchanged_by_swapping_the_marginals(
     assert not bad
 
 
-@ITEMS_8_AND_2
 @given(x0=exponents.map(lambda e: 10.0**e), g1=gammas, g2=gammas,
        theta=thetas, alpha=alphas)
 # the min's VaR and MoT at alpha = 1 - 1e-12, where F is flat over many floats

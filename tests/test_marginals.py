@@ -86,6 +86,15 @@ class TestCdf:
                 cdf(m, x)
 
 
+    @pytest.mark.parametrize("m", [EXP1, PAR1])
+    def test_string_point_rejected(self, m):
+        # float() reads "0.5" and numpy reads ["1", 2.0]; every other point
+        # check makes a string or bytes a DomainError
+        for x in ("0.5", b"0.5", ["1", 2.0], np.array([b"1"]), [0.5, b"2"]):
+            with pytest.raises(DomainError):
+                cdf(m, x)
+
+
 class TestPdf:
     def test_known_values(self):
         assert pdf(ExponentialMarginal(1.0), 0.0) == 1.0
@@ -115,6 +124,13 @@ class TestPdf:
     def test_nan_point_rejected(self, m):
         # as for cdf
         for x in (float("nan"), None, np.array([0.5, float("nan")]), [2.0, None]):
+            with pytest.raises(DomainError):
+                pdf(m, x)
+
+    @pytest.mark.parametrize("m", [EXP1, PAR1])
+    def test_string_point_rejected(self, m):
+        # as for cdf
+        for x in ("0.5", b"0.5", ["1", 2.0], np.array([b"1"]), [0.5, b"2"]):
             with pytest.raises(DomainError):
                 pdf(m, x)
 

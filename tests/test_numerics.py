@@ -231,3 +231,54 @@ def test_solver_stops_at_the_fixed_x_axis_tolerance():
     assert numerics._ABS_TOL == 1e-12
     # a bracket no wider than the tolerance is returned as its midpoint
     assert solve_increasing(lambda x: x, 0.25e-12, 0.0, 1e-12) == 0.5e-12
+
+
+def _flat_survival(x):
+    # 0.9 - x/10, then flat at 0.5 over [1, 2], then exp(2 - x) / 2
+    if x < 1.0:
+        return 0.9 - 0.1 * x
+    return 0.5 if x < 2.0 else 0.5 * math.exp(2.0 - x)
+
+
+class TestSolveSurvival:
+    """Solves of a nonincreasing survival S(x) = tail, from level 1/2 up."""
+
+    def test_left_most_solution_on_flat_stretch(self):
+        q = solve_increasing(_flat_survival, 0.5, 0.0, 10.0, tail=0.5, tol=0.0)
+        assert q == 1.0
+        # a CDF solved to adjacent floats takes the same convention
+        cdf = lambda x: 1.0 - _flat_survival(x)
+        assert solve_increasing(cdf, 0.5, 0.0, 10.0, tol=0.0) == 1.0
+
+    def test_bracket_invalid(self):
+        s = lambda x: math.exp(-x)
+        with pytest.raises(BracketInvalid):
+            solve_increasing(s, 0.9, 0.0, 1.0, tail=0.1)  # S(1) > 0.1
+        with pytest.raises(BracketInvalid):
+            solve_increasing(s, 0.9, 3.0, 10.0, tail=0.1)  # S(3) < 0.1
+
+    @pytest.mark.parametrize("rate", [1e-30, 1.0, 1e30])
+    @pytest.mark.parametrize("tail", [0.5, 0.1, 1e-12, 1e-300])
+    def test_left_most_float_at_every_scale(self, rate, tail):
+        # tol = 0 runs to adjacent floats: the first float where S <= tail,
+        # at every scale, where the absolute 1e-12 took the bracket's
+        # midpoint once the quantile fell below it
+        s = lambda x: math.exp(-rate * x)
+        hi = 2.0 * -math.log(tail) / rate
+        q = solve_increasing(s, 1.0 - tail, 0.0, hi, tail=tail, tol=0.0)
+        assert s(q) <= tail < s(math.nextafter(q, 0.0))
+        assert q == pytest.approx(-math.log(tail) / rate, rel=4 * 2.0**-52)
+
+    def test_interpolation_needs_few_evaluations(self):
+        # a quantile at 1 - 1e-12, in the tail where F = 1 - S keeps 4 of
+        # its digits; bisection of [0, 200] to adjacent floats would take
+        # about 55 evaluations
+        calls = []
+
+        def s(x):
+            calls.append(x)
+            return math.exp(-0.5 * x) * (1.0 + 0.5 * x)
+
+        q = solve_increasing(s, 1.0 - 1e-12, 0.0, 200.0, tail=1e-12, tol=0.0)
+        assert len(calls) <= 20
+        assert s(q) <= 1e-12 < s(math.nextafter(q, 0.0))

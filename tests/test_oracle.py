@@ -17,8 +17,9 @@ is held to the oracle's at 1e-14 relative over the fuzz domain of
 test_fuzz_domain.py, with exponential rates up to 1.7e308. Over that
 domain every solved VaR and MoT is held to the oracle at 1e-13 relative,
 the sum's VaR at alpha <= 1e-3 apart, and every CTE at 1e-12: strict
-xfails until the solver stops at a relative tolerance (ROADMAP item 2),
-and for the sum's lower tail until its pairs no longer cancel (item 9b).
+xfails until the sum's lower tail, the one solve still read from
+F = 1 - S and stopped at the absolute 1e-12, is read from pairs that no
+longer cancel (ROADMAP items 9b and 2).
 """
 
 import math
@@ -131,18 +132,12 @@ def test_verify_grid_analytic_values(reference):
     assert errors[worst] < REL_TOL, (worst, errors[worst])
 
 
-# Every solved VaR far below the solver's absolute tolerance 1e-12 meets
-# that tolerance while missing by a large share of itself (the exponential
-# min at rates 2e30 is pinned in test_extremes.py): at rates (1e30, 2e30)
-# and theta = 0 the max's is off by -37% and the sum's by -24%; at Pareto
-# x0 = 1e-13, gammas (3, 4) and theta = 0.5 the min's by -3.2% and the
-# max's by -22%.
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: the solver's tolerance 1e-12 is absolute, so a "
-    "VaR far below it is returned as a bracket midpoint",
-)
+# A solved VaR far below the solver's absolute tolerance 1e-12 met it while
+# bisection missed by a large share of itself (the exponential min at rates
+# 2e30 is pinned in test_extremes.py): at rates (1e30, 2e30) and theta = 0
+# the max's was off by -37% and the sum's by -24%; at Pareto x0 = 1e-13,
+# gammas (3, 4) and theta = 0.5 the min's by -3.2% and the max's by -22%.
+# At alpha = 0.9 the solve reads the survival and stops at a relative width.
 @pytest.mark.parametrize(
     "family, target, p1, p2, x0, theta",
     [
@@ -458,17 +453,20 @@ def fuzz_cells(draw):
     return "pareto", draw(targets), g1, g2, x0
 
 
-# The gate of ROADMAP item 2a, landed ahead of the tail-space solve that
-# is to meet it. The examples are item 2's cells: at rates (1e30, 2e30)
-# the exponential min's, max's and sum's VaR, and at x0 = 1e-13 the
-# Pareto min's and max's, each meet the absolute 1e-12 and miss by
-# percents. The sum's VaR at alpha <= 1e-3 is left out: its four signed
+# The gate of ROADMAP item 2a. The examples are item 2's cells: at rates
+# (1e30, 2e30) the exponential min's, max's and sum's VaR, and at
+# x0 = 1e-13 the Pareto min's and max's, which met the absolute 1e-12 and
+# missed by percents until each solve ran to adjacent floats on the
+# survival, or on the min's and max's factored CDF below level 1/2. What
+# still misses is the sum below 1/2, solved on F = 1 - S to the absolute
+# 1e-12: at rates (0.229, 8.2e181), theta = -0.979 and alpha = 0.002 by
+# 2.8e-11. The sum's VaR at alpha <= 1e-3 is left out: its four signed
 # pairs cancel there, which is item 9b's.
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 2: the solver's tolerance 1e-12 is absolute, so "
-    "a VaR or MoT far below 1 misses 1e-13 relative",
+    reason="ROADMAP items 9b and 2: the sum's lower tail is solved on "
+    "F = 1 - S to the absolute 1e-12, so its VaR misses 1e-13 relative",
 )
 @example(cell=("exp", "min", 1e30, 2e30, 0.0), theta=0.0, alpha=0.9)
 @example(cell=("exp", "max", 1e30, 2e30, 0.0), theta=0.0, alpha=0.9)
@@ -558,15 +556,85 @@ def test_extreme_tail_integral_is_the_oracle(oracle, cell, theta, alpha):
     assert abs(got - want) <= TAIL_REL_TOL * want + TAIL_ABS_TOL, (q, got, want)
 
 
+# The Pareto mean excess at exponents near 40, where raising the rounded
+# x0/q to i*g1 + j*g2 grew its error with the exponent: the min's reached
+# 8.05e-15 at this cell. Below q = 2 x0, where q - x0 is exact, the
+# survivals are read as exp(-g*u) at u = log1p((q - x0)/x0), which errs by
+# about g*u*eps; the max's VaR here lies just above 2 x0.
+@pytest.mark.parametrize("target", ["min", "max"])
+def test_pareto_tail_integral_at_large_exponents(oracle, target):
+    g1, g2, x0, theta, alpha = 38.999, 42.118, 1e-12, -1.0, 1.0 - 1e-12
+    p = build_portfolio("pareto", theta, pareto_x0=x0, pareto_gammas=(g1, g2))
+    with oracle.mpmath.workdps(oracle.DPS):
+        ref = oracle.Cell("pareto", target, g1, g2, x0, theta, alpha)
+        q = float(ref.quantile(ref.alpha))
+        want = float(ref.tail_integral(oracle.mpmath.mpf(q)))
+    got = law_of(p, target).mean_excess(q, 1.0)
+    assert abs(got - want) <= 2e-15 * want, (got, want)
+
+
+# Each solved law's survival, which its solves from level 1/2 up read,
+# against the oracle's at the law's own VaR or MoT over the fuzz domain.
+# The exponential min and max take the exact rounding of l*x into account,
+# so their factored forms keep 8 eps. The Pareto ones read u = log(x/x0),
+# whose own rounding (u eps/2) moves S by kappa = |x f(x) / S(x)| times
+# that; the sum's signed pairs keep 16 eps per unit of 1 + kappa. The
+# examples missed 8 eps by t*eps/2 (11.7 and 8.1 eps) while l*x rounded.
+@example(
+    cell=("exp", "min", 0.1, 0.1, 0.0), theta=-1.0, alpha=1.0 - 1e-12,
+    measure="var",
+)
+@example(
+    cell=("exp", "max", 20.0, 20.0, 0.0), theta=1.0, alpha=1.0 - 1e-12,
+    measure="mot",
+)
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    cell=fuzz_cells(),
+    theta=thetas,
+    alpha=alphas,
+    measure=st.sampled_from(("var", "mot")),
+)
+def test_survival_is_the_oracle(oracle, cell, theta, alpha, measure):
+    family, target, p1, p2, x0 = cell
+    if family == "exp":
+        p = build_portfolio("exp", theta, exp_rates=(p1, p2))
+    else:
+        p = build_portfolio(
+            "pareto", theta, pareto_x0=x0, pareto_gammas=(p1, p2)
+        )
+    x = compute_measure(p, target, measure, alpha)
+    law = law_of(p, target)
+    got = law.survival(x)
+    kappa = abs(x * law.pdf(x) / got)
+    with oracle.mpmath.workdps(oracle.DPS):
+        ref = oracle.Cell(family, target, p1, p2, x0, theta, alpha)
+        want = ref.survival(oracle.mpmath.mpf(x))
+    if target == "sum":
+        bound = 16.0 * (1.0 + kappa) * EPS
+    elif family == "exp":
+        bound = 8.0 * EPS
+    else:
+        bound = (8.0 + kappa * math.log(x / x0)) * EPS
+    assert _rel(got, want) <= bound, (x, got, kappa)
+
+
 # The CTE half of ROADMAP item 2a's gate, over the same cells and settings
 # as test_var_and_mot_are_the_oracle. The CTE is VaR plus a mean excess
 # that the VaR's error moves only to second order, so it misses where the
-# VaR misses by a share of itself: at item 2's cells, the examples.
+# VaR misses by a share of itself: in the sum's lower tail, as at rates
+# near 5e153 and 1e154, theta = -1 and alpha = 0.061 by 0.4%.
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 2: the solver's tolerance 1e-12 is absolute, so "
-    "the VaR that a CTE adds its mean excess to misses far below 1",
+    reason="ROADMAP items 9b and 2: the sum's lower tail is solved on "
+    "F = 1 - S to the absolute 1e-12, so a CTE that adds its mean excess "
+    "to that VaR misses far below 1",
 )
 @example(cell=("exp", "min", 1e30, 2e30, 0.0), theta=0.0, alpha=0.9)
 @example(cell=("exp", "max", 1e30, 2e30, 0.0), theta=0.0, alpha=0.9)

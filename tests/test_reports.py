@@ -65,6 +65,40 @@ def test_aggregate_report_solves_twice(solved_levels):
     assert solved_levels == [0.9, 0.95]
 
 
+@pytest.fixture
+def evals_per_solve(monkeypatch):
+    """Function evaluations of every root solve a composite makes, in call
+    order."""
+    counts = []
+    original = extremes.solve_increasing
+
+    def counted(f, *args, **kwargs):
+        counts.append(0)
+
+        def g(x):
+            counts[-1] += 1
+            return f(x)
+
+        return original(g, *args, **kwargs)
+
+    monkeypatch.setattr(extremes, "solve_increasing", counted)
+    return counts
+
+
+# At the paper's point each solve interpolates its way to adjacent floats
+# in 10 to 12 evaluations, the bracket's two ends included, where bisection
+# to the absolute 1e-12 took about 44.
+@pytest.mark.parametrize("theta", THETAS)
+def test_solves_at_the_papers_point_are_short(evals_per_solve, theta):
+    for m1, m2 in ((E1, E2), (P1, P2)):
+        p = BivariatePortfolio(m1, m2, FgmCopula(theta))
+        for which in ("min", "max"):
+            extreme_report(p, which, 0.9)
+    aggregate_report(AggregateExpPortfolio(E1, E2, FgmCopula(theta)), 0.9)
+    assert len(evals_per_solve) == 10
+    assert max(evals_per_solve) <= 16, evals_per_solve
+
+
 @pytest.mark.parametrize("theta", THETAS)
 @pytest.mark.parametrize("alpha", ALPHAS)
 @pytest.mark.parametrize("m1, m2", [(E1, E2), (P1, P2)], ids=["exp", "pareto"])
@@ -114,17 +148,10 @@ def test_law_with_a_cte_below_its_var(excess):
 
 
 # the min's and max's mean excess forms no term rate, so at rates 1e308 each
-# report has a finite CTE above its VaR; both carry the VaR's error, the
-# solver's absolute tolerance far above the VaR (library against oracle:
-# the min's VaR 1.1513e-308 against 1.2660e-308 and CTE 1.8084e-308 against
-# 1.7954e-308, the max's 1.4979e-308 against 2.9574e-308 and 5.6291e-308
-# against 3.9767e-308)
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: the solver's tolerance 1e-12 is absolute, so a "
-    "VaR near 1e-308 is returned as a bracket midpoint",
-)
+# report has a finite CTE above its VaR; both carry the VaR's error, which
+# the solver's absolute tolerance alone left far above the VaR (bisection
+# read the min's VaR 1.1513e-308 against the oracle's 1.2660e-308, the
+# max's 1.4979e-308 against 2.9574e-308)
 @pytest.mark.parametrize("target", ["min", "max"])
 def test_extreme_reports_at_the_largest_rates(oracle, target):
     m = ExponentialMarginal(1e308)
@@ -171,12 +198,13 @@ def test_densities_at_the_largest_rates(target, rate, x, want):
 
 # at exponents 1e20 the law is all but a point mass at x0 = 1 (the oracle's
 # VaR and CTE are 1.0): the mean excess beyond the solved VaR underflows to
-# 0, so CTE is that VaR, within the solver tolerance of the oracle
+# 0, so CTE is that VaR: the first float above x0, where the survival
+# first falls to the tail mass, one ulp above the oracle's
 @pytest.mark.parametrize("target", ["max", "min"], ids=["pareto-max", "pareto-min"])
 def test_cte_may_round_onto_its_var(target):
     m = ParetoMarginal(1.0, 1e20)
     r = extreme_report(BivariatePortfolio(m, m, FgmCopula(0.5)), target, 0.9)
-    assert r.cte == r.var == 1.000000000000007
+    assert r.cte == r.var == 1.0000000000000002
 
 
 @pytest.mark.parametrize(

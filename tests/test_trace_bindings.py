@@ -47,16 +47,19 @@ def test_layer_tracing_binds_and_restores(monkeypatch):
 def test_every_extreme_cdf_evaluation_is_a_mixture_span(
     monkeypatch, family, which
 ):
-    # the harness times mixture CDFs by the class of the solved law; were
-    # the min or max solved on another class, mixtures.cdf would read 0
+    # the harness times mixture CDFs by the bound method's class; were the
+    # min or max solved on another class or through a closure, mixtures.cdf
+    # would read 0. At alpha = 0.1 the VaR is solved on the CDF and the MoT,
+    # at 0.55, on the survival; at alpha = 0.9 both on the survival.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
-    with tracing.layer_tracing(tracing.Tracer()) as t:
-        extremes.extreme_report(build_portfolio(family, 0.5), which, 0.9)
-    evals = t.counts["numerics.solve_evals"]
-    assert evals > 0
-    assert t.count("mixtures.cdf") == evals
+    for alpha in (0.1, 0.9):
+        with tracing.layer_tracing(tracing.Tracer()) as t:
+            extremes.extreme_report(build_portfolio(family, 0.5), which, alpha)
+        evals = t.counts["numerics.solve_evals"]
+        assert evals > 0
+        assert t.count("mixtures.cdf") == evals
 
 
 def test_traced_verify_spans_run_on_the_calling_thread(monkeypatch, capsys):
