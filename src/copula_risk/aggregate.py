@@ -98,7 +98,7 @@ class _SumLaw:
     __slots__ = ("_pairs", "hi")
     lo = 0.0
     method = Method.ROOT_SOLVE
-    # 1 - S keeps no relative digits in the lower tail, where the pairs cancel
+    # 1 - S keeps only about eps of absolute error in the lower tail
     cdf_tol = _ABS_TOL
 
     def __init__(self, p: BivariatePortfolio) -> None:

@@ -44,6 +44,8 @@ from .marginals import (
 )
 from .numerics import _ABS_TOL, solve_increasing
 
+_EPS = 2.0**-52  # machine epsilon
+
 # Levels solve on a closed-form bracket. The benchmark's layer tracing
 # (perfbench/tracing.py) still rebinds this name on this module, so it stays
 # importable here until the harness stops doing so.
@@ -126,7 +128,10 @@ def solve_level(law, level: float, tail: float) -> float:
     closed-form bracket of `_mixtures.upper_end`. From level 1/2 up it
     solves law.survival(x) = tail, which keeps the digits of a small tail
     mass, to adjacent floats; below, law.cdf(x) = level to law.cdf_tol, 0
-    (adjacent floats) where the CDF keeps its relative digits too.
+    (adjacent floats) where the CDF keeps its relative digits too. A wider
+    cdf_tol (the sum's 1e-12, as its 1 - S keeps about eps of absolute
+    error) narrows to eps/level relative where the quantile is small, the
+    width that error leaves x.
 
     A bracket end that overflows is clipped to the largest float; DomainError
     if the law there has not yet reached the level."""
@@ -140,7 +145,9 @@ def solve_level(law, level: float, tail: float) -> float:
         return solve_increasing(
             law.survival, level, law.lo, hi, tail=tail, tol=0.0
         )
-    return solve_increasing(law.cdf, level, law.lo, hi, tol=law.cdf_tol)
+    return solve_increasing(
+        law.cdf, level, law.lo, hi, tol=law.cdf_tol, rel=_EPS / level
+    )
 
 
 MEASURES = ("var", "cte", "mot")

@@ -48,6 +48,7 @@ def solve_increasing(
     hi: float,
     tail: float | None = None,
     tol: float = _ABS_TOL,
+    rel: float | None = None,
 ) -> float:
     """Solve f(x) = target for a nondecreasing f bracketed on [lo, hi]; or,
     given `tail`, f(x) = tail for a nonincreasing survival f, `target` then
@@ -58,13 +59,13 @@ def solve_increasing(
     the left-most solution is returned, matching the inf{x : F(x) >= level}
     quantile convention. A step interpolates r inversely through the last
     three points where that interpolant is monotone and the bracket is wider
-    than w = max(_REL_WIDTH * |x|, tol), landing at least w/2 inside it so
+    than w = max(_REL_WIDTH * |x|, stop), landing at least w/2 inside it so
     that a step from a point that close to the root crosses it. It bisects
     otherwise, and whenever the bracket has not halved over the last three
     steps, so a solve takes at most four times bisection's evaluations. The
-    solve returns the bracket's midpoint once it is no wider than `tol`, or,
-    at adjacent floats, the one where r >= 0: with tol = 0, the left-most
-    float where r >= 0.
+    solve returns the bracket's midpoint once it is no wider than stop,
+    `tol` or, given `rel`, min(tol, rel * |x|); or, at adjacent floats, the
+    one where r >= 0: with tol = 0, the left-most float where r >= 0.
 
     Raises:
         BracketInvalid: if f(lo) and f(hi) do not bracket the target.
@@ -83,7 +84,7 @@ def solve_increasing(
         )
     if r1 == 0.0:
         return lo
-    if hi - lo <= tol:
+    if hi - lo <= (tol if rel is None else min(tol, rel * abs(hi))):
         return 0.5 * lo + 0.5 * hi
     t = 0.5
     d1 = d2 = d3 = math.inf  # the bracket's widths before the last 3 steps
@@ -102,11 +103,12 @@ def solve_increasing(
             x2, r2 = x1, r1
         x1, r1 = x, r
         dx = abs(x2 - x1)
-        if dx <= tol:
+        stop = tol if rel is None else min(tol, rel * abs(x1))
+        if dx <= stop:
             return 0.5 * x1 + 0.5 * x2
         w = _REL_WIDTH * abs(x1)
-        if w < tol:
-            w = tol
+        if w < stop:
+            w = stop
         t = 0.5
         if w < dx <= 0.5 * d3:
             # Chandrupatla's test that the interpolant is monotone

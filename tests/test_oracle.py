@@ -16,10 +16,9 @@ survival, and the CTE of every solved target against the oracle's at
 is held to the oracle's at 1e-14 relative over the fuzz domain of
 test_fuzz_domain.py, with exponential rates up to 1.7e308. Over that
 domain every solved VaR and MoT is held to the oracle at 1e-13 relative,
-the sum's VaR at alpha <= 1e-3 apart, and every CTE at 1e-12: strict
-xfails until the sum's lower tail, the one solve still read from
-F = 1 - S and stopped at the absolute 1e-12, is read from pairs that no
-longer cancel (ROADMAP items 9b and 2).
+the sum's VaR at alpha <= 1e-3 apart, and every CTE at 1e-12. The sum's
+VaR at alpha <= 1e-3 is held there too, as a strict xfail until its F is
+read from pairs that no longer cancel (ROADMAP items 9b and 2).
 """
 
 import math
@@ -457,17 +456,10 @@ def fuzz_cells(draw):
 # (1e30, 2e30) the exponential min's, max's and sum's VaR, and at
 # x0 = 1e-13 the Pareto min's and max's, which met the absolute 1e-12 and
 # missed by percents until each solve ran to adjacent floats on the
-# survival, or on the min's and max's factored CDF below level 1/2. What
-# still misses is the sum below 1/2, solved on F = 1 - S to the absolute
-# 1e-12: at rates (0.229, 8.2e181), theta = -0.979 and alpha = 0.002 by
-# 2.8e-11. The sum's VaR at alpha <= 1e-3 is left out: its four signed
-# pairs cancel there, which is item 9b's.
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP items 9b and 2: the sum's lower tail is solved on "
-    "F = 1 - S to the absolute 1e-12, so its VaR misses 1e-13 relative",
-)
+# survival, or on the min's and max's factored CDF below level 1/2, and
+# the sum's below 1/2 to min(1e-12, eps/alpha relative). The sum's VaR at
+# alpha <= 1e-3 is left out: its four signed pairs cancel there, which is
+# item 9b's.
 @example(cell=("exp", "min", 1e30, 2e30, 0.0), theta=0.0, alpha=0.9)
 @example(cell=("exp", "max", 1e30, 2e30, 0.0), theta=0.0, alpha=0.9)
 @example(cell=("exp", "sum", 1e30, 2e30, 0.0), theta=0.0, alpha=0.9)
@@ -626,16 +618,10 @@ def test_survival_is_the_oracle(oracle, cell, theta, alpha, measure):
 
 # The CTE half of ROADMAP item 2a's gate, over the same cells and settings
 # as test_var_and_mot_are_the_oracle. The CTE is VaR plus a mean excess
-# that the VaR's error moves only to second order, so it misses where the
-# VaR misses by a share of itself: in the sum's lower tail, as at rates
-# near 5e153 and 1e154, theta = -1 and alpha = 0.061 by 0.4%.
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP items 9b and 2: the sum's lower tail is solved on "
-    "F = 1 - S to the absolute 1e-12, so a CTE that adds its mean excess "
-    "to that VaR misses far below 1",
-)
+# that the VaR's error moves only to second order, so it missed where the
+# VaR missed by a share of itself: in the sum's lower tail while it
+# stopped at the absolute 1e-12, as at rates near 5e153 and 1e154,
+# theta = -1 and alpha = 0.061 by 0.4%.
 @example(cell=("exp", "min", 1e30, 2e30, 0.0), theta=0.0, alpha=0.9)
 @example(cell=("exp", "max", 1e30, 2e30, 0.0), theta=0.0, alpha=0.9)
 @example(cell=("exp", "sum", 1e30, 2e30, 0.0), theta=0.0, alpha=0.9)
