@@ -268,7 +268,7 @@ class TestExtremeVar:
 
     def test_pareto_min_var_across_a_huge_bracket(self):
         # at theta = 0 the min is Pareto(x0, g1 + g2), whose VaR at 0.99 is
-        # 1e100; the bracket [1, 1e200] takes over 200 bisections
+        # 1e100, inside the bracket [1, 1e200]
         g = ParetoMarginal(1.0, 0.01)
         p = BivariatePortfolio(g, g, FgmCopula(0.0))
         expected = marginal_var(ParetoMarginal(1.0, 0.02), 0.99)
